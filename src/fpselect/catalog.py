@@ -69,6 +69,7 @@ class AttributeCatalog:
     """The ordered candidate set. Order is lexicographic by name."""
 
     attributes: tuple[AttributeSpec, ...]
+    names: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _by_name: dict[str, AttributeSpec] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -81,11 +82,8 @@ class AttributeCatalog:
                 raise SchemaError(f"duplicate attribute name {spec.name!r} in catalog")
             by_name[spec.name] = spec
         object.__setattr__(self, "attributes", ordered)
+        object.__setattr__(self, "names", tuple(by_name))
         object.__setattr__(self, "_by_name", by_name)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(s.name for s in self.attributes)
 
     def __len__(self) -> int:
         return len(self.attributes)
@@ -102,7 +100,7 @@ class AttributeCatalog:
     def canonical(self, subset: Iterable[str]) -> tuple[str, ...]:
         """Return ``subset`` as a tuple in canonical order, validating names."""
         wanted = set(subset)
-        unknown = wanted - set(self.names)
+        unknown = wanted - self._by_name.keys()
         if unknown:
             raise SchemaError(f"unknown attribute {sorted(unknown)[0]!r}")
         return tuple(n for n in self.names if n in wanted)

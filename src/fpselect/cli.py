@@ -399,8 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_selection_flags(p_select)
     p_select.add_argument("--k", type=int, help="number of explored paths")
     p_select.add_argument("--threads", type=int, default=None,
-                          help="measurement workers per stage"
-                               " (default: available parallelism)")
+                          help="accepted for compatibility, must be >= 1:"
+                               " sets are measured one at a time, and every"
+                               " value gives the same report")
     p_select.set_defaults(handler=_cmd_select)
 
     p_baseline = sub.add_parser("baseline", help="entropy-based selection")

@@ -1,4 +1,4 @@
-"""Fingerprint datasets: loading, validation, projection, and distributions.
+"""Fingerprint datasets: loading, validation, projection, coding, distributions.
 
 Observations are grouped per browser and ordered by their sequence number.
 Each browser's first observation acts as its stored fingerprint, which
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -83,6 +83,68 @@ def project(
     return tuple(v for a, v in zip(source, values) if a in wanted)
 
 
+def column_indices(source: Sequence[str], target: Iterable[str]) -> list[int]:
+    """Positions in ``source`` of the attributes that ``project`` keeps."""
+    wanted = set(target)
+    return [i for i, a in enumerate(source) if a in wanted]
+
+
+# Mixed-radix keys are renumbered before they could pass this bound.
+_KEY_LIMIT = 2**62
+
+
+@dataclass(frozen=True)
+class CodedRows:
+    """Rows of strings as an integer code matrix, one codebook per column.
+
+    ``lookup[j]`` maps each value of column ``j`` to its code. Codes follow
+    ``str`` order within a column, so code tuples sort like the value
+    tuples they stand for.
+    """
+
+    lookup: tuple[dict[str, int], ...]
+    matrix: np.ndarray
+
+    def group_keys(self, cols: Sequence[int]) -> np.ndarray:
+        """One ``int64`` key per row: equal on ``cols`` iff the rows agree there.
+
+        Keys sort like the rows' code tuples on ``cols``. Each is the
+        mixed-radix number of those codes; before the next column could
+        overflow it, the keys are renumbered densely, which keeps their order.
+        """
+        keys = np.zeros(len(self.matrix), dtype=np.int64)
+        span = 1
+        for c in cols:
+            size = len(self.lookup[c])
+            if span * size > _KEY_LIMIT:
+                distinct, keys = np.unique(keys, return_inverse=True)
+                span = len(distinct)
+            keys = keys * size + self.matrix[:, c]
+            span *= size
+        return keys
+
+
+def encode_rows(rows: Sequence[Sequence[str]], width: int) -> CodedRows:
+    """Code every column of ``rows``, which all have ``width`` values.
+
+    Codebooks come from Python ``sorted``, not numpy string arrays, which
+    would drop trailing NUL characters and merge distinct values.
+    """
+    for row in rows:
+        if len(row) != width:
+            raise ValueError(
+                f"value tuple has {len(row)} entries for {width} attributes"
+            )
+    matrix = np.empty((len(rows), width), dtype=np.int64)
+    lookup = []
+    for j, column in enumerate(zip(*rows) if rows else [()] * width):
+        codes = {v: i for i, v in enumerate(sorted(set(column)))}
+        matrix[:, j] = np.fromiter(map(codes.__getitem__, column), np.int64,
+                                   len(column))
+        lookup.append(codes)
+    return CodedRows(tuple(lookup), matrix)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """A validated collection of observations against a catalog."""
@@ -92,15 +154,18 @@ class Dataset:
     _group_index: dict[str, tuple[int, ...]] = field(
         init=False, repr=False, compare=False
     )
+    # Set by the loader, which has already checked each line.
+    _prevalidated: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _prevalidated: bool) -> None:
         if not self.observations:
             raise SchemaError("empty dataset")
         names = set(self.catalog.names)
         groups: dict[str, list[int]] = {}
         last_seq: dict[str, int] = {}
         for i, obs in enumerate(self.observations):
-            _validate_observation(obs, names, where=f"observation {i}")
+            if not _prevalidated:
+                _validate_observation(obs, names, where=f"observation {i}")
             prev = last_seq.get(obs.browser_id)
             if prev is not None and obs.seq <= prev:
                 raise SchemaError(
@@ -132,6 +197,19 @@ class Dataset:
             b: self.value_tuple(self.observations[ix[0]])
             for b, ix in self._group_index.items()
         }
+
+    @cached_property
+    def codes(self) -> CodedRows:
+        """Every observation's values as integer codes, in catalog order."""
+        return encode_rows(
+            [self.value_tuple(obs) for obs in self.observations], len(self.catalog)
+        )
+
+    @cached_property
+    def stored_codes(self) -> CodedRows:
+        """Code rows of the stored fingerprints, in ``user_mapping`` order."""
+        first = [ix[0] for ix in self._group_index.values()]
+        return CodedRows(self.codes.lookup, self.codes.matrix[first])
 
     # -- cost support ------------------------------------------------------
 
@@ -238,7 +316,7 @@ def load_observations(path: str | Path, catalog: AttributeCatalog) -> Dataset:
             observations.append(obs)
     if not observations:
         raise SchemaError(f"{path}: empty dataset")
-    return Dataset(catalog, tuple(observations))
+    return Dataset(catalog, tuple(observations), _prevalidated=True)
 
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:

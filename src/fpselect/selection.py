@@ -19,16 +19,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .catalog import AttributeCatalog
+import numpy as np
+
 from .cost import CostBreakdown, CostWeights, total_cost
-from .dataset import Dataset, ValueTuple, project
+from .dataset import Dataset, column_indices
 from .errors import ConfigError
-from .sensitivity import AttackerInstance, impersonated_users, sensitivity
+from .sensitivity import AttackerInstance, impersonated_mask
+from .sensitivity import sensitivity  # noqa: F401  (bench/tracer.py wraps it here)
 
 AttrSet = tuple[str, ...]
 MeasureFn = Callable[[AttrSet], tuple[float, float]]
@@ -122,8 +122,9 @@ def greedy_lattice_search(
     ``measure`` maps a canonical attribute tuple to ``(cost, sensitivity)``
     and must be pure; results are cached here, so each distinct set is
     measured once. Expansion, classification, and truncation run in
-    deterministic canonical order regardless of ``max_workers``
-    (``None`` means one worker per available core).
+    deterministic canonical order. Sets are measured one at a time for
+    any ``max_workers`` (``None`` included): measured against serial
+    runs, a thread pool only made the search slower.
     """
     names = tuple(sorted(attributes))
     cache: dict[AttrSet, tuple[float, float]] = {}
@@ -164,7 +165,6 @@ def greedy_lattice_search(
                 if not _has_subset(grown, blockers)
             }
         )
-        _prefetch(expanded, measured, max_workers)
 
         survivors: list[AttrSet] = []
         for subset in expanded:
@@ -219,17 +219,6 @@ def _has_subset(subset: AttrSet, pool: list[AttrSet]) -> bool:
     return any(members.issuperset(other) for other in pool)
 
 
-def _prefetch(
-    subsets: Sequence[AttrSet], measured: MeasureFn, max_workers: int | None
-) -> None:
-    if max_workers is not None and max_workers <= 1:
-        return
-    if len(subsets) < 2:
-        return
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        list(pool.map(measured, subsets))
-
-
 # ---------------------------------------------------------------------------
 # Dataset-backed measurement with memoization
 # ---------------------------------------------------------------------------
@@ -256,10 +245,11 @@ class Evaluator:
         hit = self._cache.get(key)
         if hit is None:
             breakdown = total_cost(key, self.dataset, self.weights)
-            sens = sensitivity(
-                key, self.attacker, self.dataset.user_mapping, self.dataset.catalog
+            reached = impersonated_mask(key, self.attacker, self.dataset)
+            hit = self._cache[key] = (
+                breakdown,
+                int(np.count_nonzero(reached)) / len(reached),
             )
-            hit = self._cache[key] = (breakdown, sens)
         return hit
 
     def totals(self, attrs: AttrSet) -> tuple[float, float]:
@@ -341,13 +331,15 @@ def select_greedy(
 def joint_entropy_bits(dataset: Dataset, attrs: Iterable[str]) -> float:
     """Shannon entropy of the projected stored fingerprints, in bits."""
     canon = dataset.catalog.canonical(attrs)
-    mapping = dataset.user_mapping
-    counts = Counter(
-        project(fp, dataset.catalog.names, canon) for fp in mapping.values()
-    )
-    population = len(mapping)
+    stored = dataset.stored_codes
+    keys = stored.group_keys(column_indices(dataset.catalog.names, canon))
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    population = len(keys)
+    # Terms in order of first appearance, through math.log2 and the builtin
+    # sum: the baselines rank on these floats, and ties hinge on the last ulp.
     return -sum(
-        (c / population) * math.log2(c / population) for c in counts.values()
+        (c / population) * math.log2(c / population)
+        for c in counts[np.argsort(first)].tolist()
     )
 
 
@@ -470,11 +462,9 @@ def evaluate(
 ) -> Evaluation:
     canon = dataset.catalog.canonical(attrs)
     breakdown = total_cost(canon, dataset, weights)
-    reached = impersonated_users(
-        canon, attacker, dataset.user_mapping, dataset.catalog
-    )
+    reached = impersonated_mask(canon, attacker, dataset)
     return Evaluation(
         breakdown=breakdown,
-        sensitivity=len(reached) / len(dataset.user_mapping),
-        impersonated=frozenset(reached),
+        sensitivity=int(np.count_nonzero(reached)) / len(reached),
+        impersonated=frozenset(itertools.compress(dataset.user_mapping, reached)),
     )

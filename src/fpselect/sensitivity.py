@@ -12,11 +12,23 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
+
+import numpy as np
 
 from .catalog import AttributeCatalog
-from .dataset import Dataset, Pmf, ValueTuple, pmf, project
+from .dataset import (
+    CodedRows,
+    Dataset,
+    Pmf,
+    ValueTuple,
+    column_indices,
+    encode_rows,
+    pmf,
+    project,
+)
 from .errors import ConfigError, SchemaError
 from .matching import fp_match
 
@@ -34,6 +46,13 @@ class AttackerInstance:
     def __post_init__(self) -> None:
         if self.beta < 1:
             raise ConfigError("submission budget beta must be >= 1")
+
+    @cached_property
+    def coded(self) -> tuple[CodedRows, np.ndarray]:
+        """The PMF's value tuples as integer codes, and its probabilities."""
+        entries = self.pmf.entries
+        probabilities = np.fromiter((p for _, p in entries), float, len(entries))
+        return encode_rows([v for v, _ in entries], len(self.pmf.attrs)), probabilities
 
 
 @dataclass(frozen=True)
@@ -117,28 +136,83 @@ def attacker_from_file(
 
 
 def build_dictionary(attacker: AttackerInstance, attrs: Iterable[str]) -> Dictionary:
-    """Project the attacker's PMF and keep the budgeted most probable tuples."""
+    """Group the attacker's PMF on ``attrs``; keep the budgeted most probable tuples."""
     target = tuple(attrs)
     missing = set(target) - set(attacker.pmf.attrs)
     if missing:
         raise ConfigError(
             f"attribute {sorted(missing)[0]!r} is outside the attacker's knowledge"
         )
-    collapsed: dict[ValueTuple, float] = {}
-    for values, prob in attacker.pmf.entries:
-        key = project(values, attacker.pmf.attrs, target)
-        collapsed[key] = collapsed.get(key, 0.0) + prob
-    ranked = sorted(collapsed.items(), key=lambda item: (-item[1], item[0]))
-    top = ranked[: attacker.beta]
+    cols = column_indices(attacker.pmf.attrs, target)
+    coded, probabilities = attacker.coded
+    _, first, groups = np.unique(
+        coded.group_keys(cols), return_index=True, return_inverse=True
+    )
+    # bincount adds each group's mass in PMF-row order, the floats a running
+    # sum gives. Group ids follow value order, so the stable sort breaks
+    # probability ties on the value tuple.
+    mass = np.bincount(groups, weights=probabilities)
+    top = np.argsort(-mass, kind="stable")[: attacker.beta]
+    entries = attacker.pmf.entries
     return Dictionary(
         attrs=target,
-        entries=tuple(values for values, _ in top),
-        probabilities=tuple(prob for _, prob in top),
+        entries=tuple(tuple(entries[r][0][c] for c in cols) for r in first[top]),
+        probabilities=tuple(mass[top].tolist()),
     )
 
 
 def _exact_matching_only(attrs: Iterable[str], catalog: AttributeCatalog) -> bool:
     return all(catalog.spec(a).matches_exactly for a in attrs)
+
+
+def _reached(
+    canon: tuple[str, ...],
+    attacker: AttackerInstance,
+    catalog: AttributeCatalog,
+    stored: CodedRows,
+    fingerprints: Collection[ValueTuple],
+) -> np.ndarray:
+    """Per stored fingerprint, whether some dictionary submission matches it.
+
+    ``stored`` codes the ``fingerprints`` (full value tuples in catalog
+    order) row for row.
+    """
+    dictionary = build_dictionary(attacker, canon)
+    names = catalog.names
+    if not _exact_matching_only(canon, catalog):
+        return np.fromiter(
+            (
+                any(
+                    fp_match(canon, catalog, project(fp, names, canon), guess)
+                    for guess in dictionary.entries
+                )
+                for fp in fingerprints
+            ),
+            bool,
+            len(fingerprints),
+        )
+
+    cols = column_indices(names, canon)
+    projected = stored.matrix[:, cols]
+    hit = np.zeros(len(projected), dtype=bool)
+    for guess in dictionary.entries:
+        codes = [stored.lookup[c].get(v, -1) for c, v in zip(cols, guess)]
+        if -1 not in codes:  # a value no user has matches nobody
+            hit |= (projected == codes).all(axis=1)
+    return hit
+
+
+def impersonated_mask(
+    attrs: Iterable[str], attacker: AttackerInstance, dataset: Dataset
+) -> np.ndarray:
+    """Whether the attacker impersonates each user, in ``user_mapping`` order."""
+    return _reached(
+        dataset.catalog.canonical(attrs),
+        attacker,
+        dataset.catalog,
+        dataset.stored_codes,
+        dataset.user_mapping.values(),
+    )
 
 
 def impersonated_users(
@@ -150,27 +224,15 @@ def impersonated_users(
     """Users whose stored fingerprint matches some dictionary submission."""
     if not mapping:
         raise ConfigError("empty user population")
-    canon = catalog.canonical(attrs)
-    dictionary = build_dictionary(attacker, canon)
-    names = catalog.names
-
-    if _exact_matching_only(canon, catalog):
-        submitted = set(dictionary.entries)
-        return {
-            user
-            for user, stored in mapping.items()
-            if project(stored, names, canon) in submitted
-        }
-
-    reached: set[str] = set()
-    for user, stored in mapping.items():
-        projected = project(stored, names, canon)
-        if any(
-            fp_match(canon, catalog, projected, guess)
-            for guess in dictionary.entries
-        ):
-            reached.add(user)
-    return reached
+    fingerprints = list(mapping.values())
+    hit = _reached(
+        catalog.canonical(attrs),
+        attacker,
+        catalog,
+        encode_rows(fingerprints, len(catalog)),
+        fingerprints,
+    )
+    return set(itertools.compress(mapping, hit))
 
 
 def sensitivity(
