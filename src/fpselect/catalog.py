@@ -9,6 +9,7 @@ tolerates. The catalog also fixes the canonical attribute order
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable
@@ -42,9 +43,10 @@ class AttributeSpec:
                 f"attribute {self.name!r}: unknown kind {self.kind!r}"
                 f" (expected one of {', '.join(VALUE_KINDS)})"
             )
-        if self.match_threshold < 0:
+        if not 0 <= self.match_threshold < math.inf:
             raise SchemaError(
-                f"attribute {self.name!r}: match_threshold must be non-negative"
+                f"attribute {self.name!r}: match_threshold must be finite"
+                " and non-negative"
             )
         if self.kind in ("category", "dynamic") and self.match_threshold >= 1:
             raise SchemaError(
@@ -134,12 +136,18 @@ def load_catalog(path: str | Path) -> AttributeCatalog:
         for required in ("name", "kind"):
             if required not in entry:
                 raise SchemaError(f"{path}: entry {i}: missing field {required!r}")
+        try:
+            threshold = float(entry.get("match_threshold", 0.0))
+        except (TypeError, ValueError):
+            raise SchemaError(
+                f"{path}: entry {i}: match_threshold must be a number"
+            ) from None
         specs.append(
             AttributeSpec(
                 name=str(entry["name"]),
                 kind=str(entry["kind"]),
                 is_async=bool(entry.get("async", False)),
-                match_threshold=float(entry.get("match_threshold", 0.0)),
+                match_threshold=threshold,
                 set_separator=str(entry.get("set_separator", ";")),
             )
         )

@@ -131,15 +131,21 @@ def _pick(flag, file_config: dict, key: str, env: str | None, default):
     return default
 
 
+def _pick_number(convert, flag, file_config: dict, key: str, default):
+    value = _pick(flag, file_config, key, None, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+
+
 def _build_run_config(args: argparse.Namespace, method: str) -> RunConfig:
     file_config = _load_file_config(getattr(args, "config", None))
     weights_text = _pick(args.weights, file_config, "weights", None, "1,10,10000")
-    weights = (
-        CostWeights(*[float(w) for w in weights_text])
-        if isinstance(weights_text, list)
-        else CostWeights.parse(str(weights_text))
-    )
-    alpha = float(_pick(args.alpha, file_config, "alpha", None, None) or 0)
+    if isinstance(weights_text, list):
+        weights_text = ",".join(map(str, weights_text))
+    weights = CostWeights.parse(str(weights_text))
+    alpha = _pick_number(float, args.alpha, file_config, "alpha", 0)
     if alpha == 0:
         raise ConfigError("missing --alpha")
     return RunConfig(
@@ -147,14 +153,14 @@ def _build_run_config(args: argparse.Namespace, method: str) -> RunConfig:
         dataset=str(_pick(args.dataset, file_config, "dataset", ENV_DATASET, "")),
         catalog=str(_pick(args.catalog, file_config, "catalog", ENV_CATALOG, "")),
         alpha=alpha,
-        beta=int(_pick(args.beta, file_config, "beta", None, 1)),
-        k=int(_pick(getattr(args, "k", None), file_config, "k", None, 1)),
+        beta=_pick_number(int, args.beta, file_config, "beta", 1),
+        k=_pick_number(int, getattr(args, "k", None), file_config, "k", 1),
         weights=weights,
         knowledge=str(
             _pick(args.knowledge, file_config, "knowledge", None, "population")
         ),
         pmf_path=_pick(args.pmf_path, file_config, "pmf_path", None, None),
-        seed=int(_pick(args.seed, file_config, "seed", None, 0)),
+        seed=_pick_number(int, args.seed, file_config, "seed", 0),
         out=_pick(args.out, file_config, "out", ENV_OUT, None),
     )
 
@@ -214,7 +220,10 @@ def _selection_report(result: SelectionResult, config: RunConfig) -> dict:
 
 
 def _write_report(report: dict, out: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        raise ConfigError("a reported number overflows to infinity") from None
     if out:
         Path(out).write_text(text, encoding="utf-8")
         _progress(f"report written to {out}")

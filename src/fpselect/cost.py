@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -34,8 +35,10 @@ class CostWeights:
             ("time_per_ms", self.time_per_ms),
             ("instability_per_change", self.instability_per_change),
         ):
-            if not value > 0:
-                raise ConfigError(f"cost weight {label} must be strictly positive")
+            if not 0 < value < math.inf:
+                raise ConfigError(
+                    f"cost weight {label} must be finite and strictly positive"
+                )
 
     def combine(self, memory_bytes: float, time_ms: float, instability: float) -> float:
         return (

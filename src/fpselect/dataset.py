@@ -9,6 +9,7 @@ yields the user mapping used by the sensitivity measure; all observations
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
@@ -267,8 +268,10 @@ def _validate_observation(obs: Observation, names: set[str], where: str) -> None
     for a, t in obs.collect_ms.items():
         if a not in names:
             raise SchemaError(f"{where}: collect_ms for unknown attribute {a!r}")
-        if not isinstance(t, (int, float)) or t < 0:
-            raise SchemaError(f"{where}: collect_ms for {a!r} must be non-negative")
+        if not isinstance(t, (int, float)) or not 0 <= t < math.inf:
+            raise SchemaError(
+                f"{where}: collect_ms for {a!r} must be finite and non-negative"
+            )
 
 
 def load_dataset(path: str | Path, catalog_path: str | Path) -> Dataset:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+import math
 import random
 import statistics
 from bisect import bisect_right
@@ -21,7 +22,7 @@ from typing import Iterable, Sequence
 
 from .catalog import AttributeCatalog, AttributeSpec
 from .dataset import Dataset
-from .errors import ConfigError
+from .errors import ConfigError, SchemaError
 
 
 class DistanceKind(enum.Enum):
@@ -79,9 +80,12 @@ def jaccard_distance(x: str, y: str, separator: str = ";") -> float:
 
 def _parse_number(value: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ValueError(f"value {value!r} is not numeric") from None
+    if not math.isfinite(number):
+        raise ValueError(f"value {value!r} is not finite")
+    return number
 
 
 def distance(kind: DistanceKind, x: str, y: str, separator: str = ";") -> float:
@@ -255,10 +259,10 @@ def calibrate_thresholds(
         if len(browsers) < 2:
             raise ConfigError(f"window {w}: needs at least two browsers")
         for attr in catalog.attributes:
-            kind = distance_kind_for(attr)
             positives = [
-                distance(kind, earlier.values[attr.name], later.values[attr.name],
-                         attr.set_separator)
+                _value_distance(
+                    attr, earlier.values[attr.name], later.values[attr.name]
+                )
                 for earlier, later in pairs
             ]
             rng = _derived_rng(seed, w, attr.name)
@@ -286,6 +290,13 @@ def calibrate_thresholds(
     )
 
 
+def _value_distance(attr: AttributeSpec, x: str, y: str) -> float:
+    try:
+        return distance(distance_kind_for(attr), x, y, attr.set_separator)
+    except ValueError as exc:
+        raise SchemaError(f"attribute {attr.name!r}: {exc}") from None
+
+
 def _browser_pairs(dataset: Dataset, browser_id: str):
     obs = dataset.browser_observations(browser_id)
     return zip(obs, obs[1:])
@@ -298,11 +309,10 @@ def _negative_distances(
     count: int,
     rng: random.Random,
 ) -> list[float]:
-    kind = distance_kind_for(attr)
     out: list[float] = []
     for _ in range(count):
         first, second = rng.sample(browsers, 2)
         x = rng.choice(dataset.browser_observations(first)).values[attr.name]
         y = rng.choice(dataset.browser_observations(second)).values[attr.name]
-        out.append(distance(kind, x, y, attr.set_separator))
+        out.append(_value_distance(attr, x, y))
     return out

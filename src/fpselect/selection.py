@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -65,8 +65,6 @@ class SearchState:
 class LatticeSearchOutcome:
     chosen: AttrSet | None
     chosen_cost: float
-    chosen_sensitivity: float
-    candidate_cost: float
     candidate_sensitivity: float
     explored_count: int
     trace: tuple[SearchState, ...]
@@ -104,9 +102,12 @@ def efficiency(
         total_cost(dataset.catalog.names, dataset, weights).total_points
         - total_cost(attrs, dataset, weights).total_points
     )
-    if sensitivity_value == 0:
-        return math.inf
-    return saved / sensitivity_value
+    return _gain(saved, sensitivity_value)
+
+
+def _gain(saved: float, sensitivity_value: float) -> float:
+    """Cost saved per unit sensitivity; zero sensitivity ranks as infinite."""
+    return math.inf if sensitivity_value == 0 else saved / sensitivity_value
 
 
 def greedy_lattice_search(
@@ -140,8 +141,6 @@ def greedy_lattice_search(
         return LatticeSearchOutcome(
             chosen=None,
             chosen_cost=math.nan,
-            chosen_sensitivity=math.nan,
-            candidate_cost=candidate_cost,
             candidate_sensitivity=candidate_sensitivity,
             explored_count=len(cache),
             trace=(),
@@ -179,8 +178,7 @@ def greedy_lattice_search(
 
         def rank(subset: AttrSet) -> tuple[float, float, AttrSet]:
             cost, sens = measured(subset)
-            gain = math.inf if sens == 0 else (candidate_cost - cost) / sens
-            return (-gain, cost, subset)
+            return (-_gain(candidate_cost - cost, sens), cost, subset)
 
         frontier = sorted(survivors, key=rank)[:k]
         trace.append(
@@ -195,12 +193,9 @@ def greedy_lattice_search(
         )
 
     chosen = min(satisfying, key=lambda s: (measured(s)[0], s))
-    chosen_cost, chosen_sensitivity = measured(chosen)
     return LatticeSearchOutcome(
         chosen=chosen,
-        chosen_cost=chosen_cost,
-        chosen_sensitivity=chosen_sensitivity,
-        candidate_cost=candidate_cost,
+        chosen_cost=measured(chosen)[0],
         candidate_sensitivity=candidate_sensitivity,
         explored_count=len(cache),
         trace=tuple(trace),
@@ -261,36 +256,31 @@ class Evaluator:
         return len(self._cache)
 
 
-def _no_solution(
-    method: str, evaluator: Evaluator, explored: int | None = None
-) -> SelectionResult:
-    _, candidate_sensitivity = evaluator.evaluate(evaluator.dataset.catalog.names)
-    return SelectionResult(
-        method=method,
-        chosen=None,
-        breakdown=None,
-        sensitivity=None,
-        candidate_sensitivity=candidate_sensitivity,
-        explored_count=evaluator.measured_count if explored is None else explored,
-    )
+# What a method's own search found: a canonical set, or None, and its trace.
+Found = tuple[AttrSet | None, tuple[SearchState, ...]]
 
 
-def _result(
+def _select(
     method: str,
-    evaluator: Evaluator,
-    chosen: AttrSet,
-    candidate_sensitivity: float,
-    explored: int,
-    trace: tuple[SearchState, ...] = (),
+    dataset: Dataset,
+    attacker: AttackerInstance,
+    config: SelectionConfig,
+    search: Callable[[Evaluator], Found],
 ) -> SelectionResult:
-    breakdown, sens = evaluator.evaluate(chosen)
+    """Measure the full set, run ``search`` only if it meets alpha, and report."""
+    evaluator = Evaluator(dataset, attacker, config.weights)
+    _, candidate_sensitivity = evaluator.evaluate(dataset.catalog.names)
+    chosen, trace = None, ()
+    if candidate_sensitivity <= config.alpha:
+        chosen, trace = search(evaluator)
+    breakdown, sens = (None, None) if chosen is None else evaluator.evaluate(chosen)
     return SelectionResult(
         method=method,
         chosen=chosen,
         breakdown=breakdown,
         sensitivity=sens,
         candidate_sensitivity=candidate_sensitivity,
-        explored_count=explored,
+        explored_count=evaluator.measured_count,
         trace=trace,
     )
 
@@ -303,24 +293,18 @@ def select_greedy(
     max_workers: int | None = 1,
 ) -> SelectionResult:
     """Run the bounded-width lattice search against a dataset."""
-    evaluator = Evaluator(dataset, attacker, config.weights)
-    outcome = greedy_lattice_search(
-        dataset.catalog.names,
-        evaluator.totals,
-        config.alpha,
-        config.k,
-        max_workers=max_workers,
-    )
-    if outcome.chosen is None:
-        return _no_solution("greedy", evaluator, explored=outcome.explored_count)
-    return _result(
-        "greedy",
-        evaluator,
-        outcome.chosen,
-        outcome.candidate_sensitivity,
-        outcome.explored_count,
-        outcome.trace,
-    )
+
+    def search(evaluator: Evaluator) -> Found:
+        outcome = greedy_lattice_search(
+            dataset.catalog.names,
+            evaluator.totals,
+            config.alpha,
+            config.k,
+            max_workers=max_workers,
+        )
+        return outcome.chosen, outcome.trace
+
+    return _select("greedy", dataset, attacker, config, search)
 
 
 # ---------------------------------------------------------------------------
@@ -343,32 +327,32 @@ def joint_entropy_bits(dataset: Dataset, attrs: Iterable[str]) -> float:
     )
 
 
+def _first_satisfying(
+    evaluator: Evaluator, picks: Iterable[str], alpha: float
+) -> AttrSet | None:
+    """Add ``picks`` one at a time; the first prefix meeting alpha, canonical."""
+    chosen: list[str] = []
+    for name in picks:
+        chosen.append(name)
+        _, sens = evaluator.evaluate(chosen)
+        if sens <= alpha:
+            return evaluator.dataset.catalog.canonical(chosen)
+    return None
+
+
 def select_entropy_baseline(
     dataset: Dataset, attacker: AttackerInstance, config: SelectionConfig
 ) -> SelectionResult:
     """Add attributes by descending entropy until the threshold holds."""
-    evaluator = Evaluator(dataset, attacker, config.weights)
-    _, candidate_sensitivity = evaluator.evaluate(dataset.catalog.names)
-    if candidate_sensitivity > config.alpha:
-        return _no_solution("entropy", evaluator)
 
-    order = sorted(
-        dataset.catalog.names,
-        key=lambda a: (-joint_entropy_bits(dataset, (a,)), a),
-    )
-    chosen: list[str] = []
-    for name in order:
-        chosen.append(name)
-        _, sens = evaluator.evaluate(chosen)
-        if sens <= config.alpha:
-            return _result(
-                "entropy",
-                evaluator,
-                dataset.catalog.canonical(chosen),
-                candidate_sensitivity,
-                evaluator.measured_count,
-            )
-    return _no_solution("entropy", evaluator)
+    def search(evaluator: Evaluator) -> Found:
+        order = sorted(
+            dataset.catalog.names,
+            key=lambda a: (-joint_entropy_bits(dataset, (a,)), a),
+        )
+        return _first_satisfying(evaluator, order, config.alpha), ()
+
+    return _select("entropy", dataset, attacker, config, search)
 
 
 def select_cond_entropy_baseline(
@@ -380,31 +364,24 @@ def select_cond_entropy_baseline(
     candidate minus the joint entropy of the chosen set, re-evaluated at
     every step, which skips attributes fully determined by earlier picks.
     """
-    evaluator = Evaluator(dataset, attacker, config.weights)
-    _, candidate_sensitivity = evaluator.evaluate(dataset.catalog.names)
-    if candidate_sensitivity > config.alpha:
-        return _no_solution("cond-entropy", evaluator)
 
-    chosen: list[str] = []
-    remaining = set(dataset.catalog.names)
-    while remaining:
-        base = joint_entropy_bits(dataset, chosen)
-        best = min(
-            remaining,
-            key=lambda a: (-(joint_entropy_bits(dataset, [*chosen, a]) - base), a),
-        )
-        chosen.append(best)
-        remaining.remove(best)
-        _, sens = evaluator.evaluate(chosen)
-        if sens <= config.alpha:
-            return _result(
-                "cond-entropy",
-                evaluator,
-                dataset.catalog.canonical(chosen),
-                candidate_sensitivity,
-                evaluator.measured_count,
+    def picks() -> Iterator[str]:
+        chosen: list[str] = []
+        remaining = set(dataset.catalog.names)
+        while remaining:
+            base = joint_entropy_bits(dataset, chosen)
+            best = min(
+                remaining,
+                key=lambda a: (-(joint_entropy_bits(dataset, [*chosen, a]) - base), a),
             )
-    return _no_solution("cond-entropy", evaluator)
+            chosen.append(best)
+            remaining.remove(best)
+            yield best
+
+    def search(evaluator: Evaluator) -> Found:
+        return _first_satisfying(evaluator, picks(), config.alpha), ()
+
+    return _select("cond-entropy", dataset, attacker, config, search)
 
 
 # ---------------------------------------------------------------------------
@@ -424,25 +401,19 @@ def select_exhaustive(
         raise ConfigError(
             f"{len(names)} attributes exceed the exhaustive limit of {max_attributes}"
         )
-    evaluator = Evaluator(dataset, attacker, config.weights)
-    _, candidate_sensitivity = evaluator.evaluate(names)
-    if candidate_sensitivity > config.alpha:
-        return _no_solution("oracle", evaluator)
 
-    best: AttrSet | None = None
-    best_key: tuple[float, AttrSet] | None = None
-    for size in range(len(names) + 1):
-        for combo in itertools.combinations(names, size):
-            breakdown, sens = evaluator.evaluate(combo)
-            if sens > config.alpha:
-                continue
-            key = (breakdown.total_points, combo)
-            if best_key is None or key < best_key:
-                best, best_key = combo, key
-    assert best is not None  # the candidate set itself satisfies alpha
-    return _result(
-        "oracle", evaluator, best, candidate_sensitivity, evaluator.measured_count
-    )
+    def search(evaluator: Evaluator) -> Found:
+        best: tuple[float, AttrSet] | None = None
+        for size in range(len(names) + 1):
+            for combo in itertools.combinations(names, size):
+                breakdown, sens = evaluator.evaluate(combo)
+                key = (breakdown.total_points, combo)
+                if sens <= config.alpha and (best is None or key < best):
+                    best = key
+        # The full set meets alpha, so some subset does.
+        return best[1], ()
+
+    return _select("oracle", dataset, attacker, config, search)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Collection, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -27,10 +27,10 @@ from .dataset import (
     column_indices,
     encode_rows,
     pmf,
-    project,
 )
 from .errors import ConfigError, SchemaError
-from .matching import fp_match
+from .matching import attr_match
+from .matching import fp_match  # noqa: F401  (bench/tracer.py wraps it here)
 
 UserMapping = Mapping[str, ValueTuple]
 
@@ -128,8 +128,11 @@ def attacker_from_file(
     for i, entry in enumerate(raw["entries"]):
         if not isinstance(entry, dict) or "values" not in entry or "p" not in entry:
             raise SchemaError(f"{path}: entry {i} needs 'values' and 'p'")
-        values = tuple(str(v) for v in entry["values"])
-        entries.append((values, float(entry["p"])))
+        try:
+            p = float(entry["p"])
+        except (TypeError, ValueError):
+            raise SchemaError(f"{path}: entry {i}: 'p' must be a number") from None
+        entries.append((tuple(str(v) for v in entry["values"]), p))
     return AttackerInstance(
         pmf=Pmf(attrs, tuple(entries)), beta=beta, knowledge="file"
     )
@@ -161,44 +164,47 @@ def build_dictionary(attacker: AttackerInstance, attrs: Iterable[str]) -> Dictio
     )
 
 
-def _exact_matching_only(attrs: Iterable[str], catalog: AttributeCatalog) -> bool:
-    return all(catalog.spec(a).matches_exactly for a in attrs)
-
-
 def _reached(
     canon: tuple[str, ...],
     attacker: AttackerInstance,
     catalog: AttributeCatalog,
     stored: CodedRows,
-    fingerprints: Collection[ValueTuple],
 ) -> np.ndarray:
-    """Per stored fingerprint, whether some dictionary submission matches it.
+    """Per row of ``stored`` (full fingerprints), whether a submission matches it.
 
-    ``stored`` codes the ``fingerprints`` (full value tuples in catalog
-    order) row for row.
+    ``fp_match`` is the conjunction of ``attr_match``, which depends only on
+    the value pair. So exact columns compare codes for all rows at once, and
+    each tolerant column matches each distinct stored value of the rows still
+    in the running once.
     """
     dictionary = build_dictionary(attacker, canon)
-    names = catalog.names
-    if not _exact_matching_only(canon, catalog):
-        return np.fromiter(
-            (
-                any(
-                    fp_match(canon, catalog, project(fp, names, canon), guess)
-                    for guess in dictionary.entries
-                )
-                for fp in fingerprints
-            ),
-            bool,
-            len(fingerprints),
-        )
-
-    cols = column_indices(names, canon)
-    projected = stored.matrix[:, cols]
-    hit = np.zeros(len(projected), dtype=bool)
+    cols = column_indices(catalog.names, canon)
+    specs = [catalog.spec(a) for a in canon]
+    exact = [i for i, spec in enumerate(specs) if spec.matches_exactly]
+    tolerant = [
+        (i, spec, list(stored.lookup[cols[i]]))  # codebooks are in code order
+        for i, spec in enumerate(specs)
+        if not spec.matches_exactly
+    ]
+    projected = stored.matrix[:, [cols[i] for i in exact]]
+    hit = np.zeros(len(stored.matrix), dtype=bool)
     for guess in dictionary.entries:
-        codes = [stored.lookup[c].get(v, -1) for c, v in zip(cols, guess)]
-        if -1 not in codes:  # a value no user has matches nobody
-            hit |= (projected == codes).all(axis=1)
+        codes = [stored.lookup[cols[i]].get(guess[i], -1) for i in exact]
+        if -1 in codes:  # a value no user has matches nobody
+            continue
+        match = (projected == codes).all(axis=1)
+        for i, spec, values in tolerant:
+            rows = np.flatnonzero(match & ~hit)
+            distinct, inverse = np.unique(
+                stored.matrix[rows, cols[i]], return_inverse=True
+            )
+            accepted = np.fromiter(
+                (attr_match(spec, values[c], guess[i]) for c in distinct.tolist()),
+                bool,
+                len(distinct),
+            )
+            match[rows[~accepted[inverse]]] = False
+        hit |= match
     return hit
 
 
@@ -206,13 +212,8 @@ def impersonated_mask(
     attrs: Iterable[str], attacker: AttackerInstance, dataset: Dataset
 ) -> np.ndarray:
     """Whether the attacker impersonates each user, in ``user_mapping`` order."""
-    return _reached(
-        dataset.catalog.canonical(attrs),
-        attacker,
-        dataset.catalog,
-        dataset.stored_codes,
-        dataset.user_mapping.values(),
-    )
+    catalog = dataset.catalog
+    return _reached(catalog.canonical(attrs), attacker, catalog, dataset.stored_codes)
 
 
 def impersonated_users(
@@ -224,14 +225,8 @@ def impersonated_users(
     """Users whose stored fingerprint matches some dictionary submission."""
     if not mapping:
         raise ConfigError("empty user population")
-    fingerprints = list(mapping.values())
-    hit = _reached(
-        catalog.canonical(attrs),
-        attacker,
-        catalog,
-        encode_rows(fingerprints, len(catalog)),
-        fingerprints,
-    )
+    stored = encode_rows(list(mapping.values()), len(catalog))
+    hit = _reached(catalog.canonical(attrs), attacker, catalog, stored)
     return set(itertools.compress(mapping, hit))
 
 

@@ -105,7 +105,7 @@ def load_synth_config(path: str | Path) -> SynthConfig:
         )
     except KeyError as exc:
         raise SchemaError(f"{path}: missing field {exc.args[0]!r}") from exc
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: {exc}") from exc
 
 

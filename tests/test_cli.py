@@ -16,7 +16,7 @@ from fpselect.cli import (
     main,
 )
 
-from conftest import write_table1_files
+from conftest import TABLE1_ATTRS, write_table1_files
 
 
 GENERATOR_CONFIG = {
@@ -342,6 +342,93 @@ class TestSynthCommand:
             str(tmp_path / "x.jsonl"),
         ])
         assert status == EXIT_BAD_CONFIG
+
+
+def _number_calibration(tmp_path, value):
+    """calibrate argv for a number attribute that holds ``value`` once."""
+    catalog = tmp_path / "number-catalog.json"
+    catalog.write_text(json.dumps([{"name": "n", "kind": "number"}]))
+    dataset = tmp_path / "number.jsonl"
+    rows = [("b1", 0, "1"), ("b1", 1, value), ("b2", 0, "2"), ("b2", 1, "3")]
+    dataset.write_text("".join(
+        json.dumps({"browser_id": b, "seq": s, "values": {"n": v}}) + "\n"
+        for b, s, v in rows
+    ))
+    return ["calibrate", "--dataset", str(dataset), "--catalog", str(catalog),
+            "--windows", "1"]
+
+
+def _run_config(tmp_path, dataset, catalog, **fields):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(
+        {"dataset": str(dataset), "catalog": str(catalog), "alpha": 0.2, **fields}
+    ))
+    return ["select", "--config", str(path)]
+
+
+def _bad_threshold(tmp_path, dataset, catalog):
+    entries = json.loads(catalog.read_text())
+    entries[0]["match_threshold"] = "x"
+    catalog.write_text(json.dumps(entries))
+    return ["select", "--dataset", str(dataset), "--catalog", str(catalog),
+            "--alpha", "0.2"]
+
+
+def _bad_probability(tmp_path, dataset, catalog):
+    pmf = tmp_path / "pmf.json"
+    pmf.write_text(json.dumps({
+        "attributes": sorted(TABLE1_ATTRS),
+        "entries": [{"values": ["True", "fr", "1080", "-1"], "p": "abc"}],
+    }))
+    return ["select", "--dataset", str(dataset), "--catalog", str(catalog),
+            "--alpha", "0.2", "--knowledge", "file", "--pmf-path", str(pmf)]
+
+
+def _nan_collect_ms(tmp_path, dataset, catalog):
+    lines = dataset.read_text().splitlines()
+    row = json.loads(lines[0])
+    row["collect_ms"] = {"Screen": float("nan")}
+    lines[0] = json.dumps(row)
+    dataset.write_text("\n".join(lines) + "\n")
+    return ["evaluate", "--attrs", "Screen", "--dataset", str(dataset),
+            "--catalog", str(catalog), "--alpha", "0.2"]
+
+
+def _bad_browsers(tmp_path, dataset, catalog):
+    config = tmp_path / "generator.json"
+    config.write_text(json.dumps({**GENERATOR_CONFIG, "browsers": "x"}))
+    return ["synth", "--config", str(config)]
+
+
+MALFORMED = {
+    "catalog-threshold": _bad_threshold,
+    "pmf-probability": _bad_probability,
+    "config-beta": lambda t, d, c: _run_config(t, d, c, beta="x"),
+    "config-alpha": lambda t, d, c: _run_config(t, d, c, alpha="x"),
+    "config-weights": lambda t, d, c: _run_config(t, d, c, weights=["a", 1, 1]),
+    "synth-browsers": _bad_browsers,
+    "calibrate-text-number": lambda t, d, c: _number_calibration(t, "x"),
+    "calibrate-nan": lambda t, d, c: _number_calibration(t, "nan"),
+    "calibrate-inf": lambda t, d, c: _number_calibration(t, "inf"),
+    "nan-collect-ms": _nan_collect_ms,
+    "overflowing-cost": lambda t, d, c: [
+        "evaluate", "--attrs", "Screen", "--dataset", str(d), "--catalog",
+        str(c), "--alpha", "0.2", "--weights", "1e308,10,10000",
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_is_one_line_and_exit_3_or_4(tmp_path, capsys, case):
+    dataset, catalog = write_table1_files(tmp_path, repeats=2)
+    argv = MALFORMED[case](tmp_path, dataset, catalog)
+    capsys.readouterr()
+    status = main([*argv, "--out", str(tmp_path / "out.json")])
+    err = capsys.readouterr().err
+    assert status in (EXIT_SCHEMA_ERROR, EXIT_BAD_CONFIG)
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.json").exists()
 
 
 class TestConsoleEntry:

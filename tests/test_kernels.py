@@ -33,6 +33,12 @@ from fpselect.sensitivity import AttackerInstance, impersonated_mask
 # trailing NUL, non-ASCII text, case, the empty string.
 VALUES = ("a", "a\x00", "a\x00\x00", "b", "B", "", "é", "日本")
 UNSEEN = ("zz", "ünseen")
+# Numbers that match across spellings and thresholds, a non-numeric value
+# and a non-finite one; token sets that match up to order.
+NUMBERS = ("0", "1", "1.0", "2", "4", "-1", "x", "nan")
+UNSEEN_NUMBERS = ("1.5", "3", "inf")
+SETS = ("a", "a;b", "b;a", "a;b;c", "c", "", ";")
+UNSEEN_SETS = ("b;c", "a;c;d")
 
 SETTINGS = settings(
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -40,19 +46,32 @@ SETTINGS = settings(
 
 
 @st.composite
+def attribute(draw, i):
+    """An attribute of any kind, with strategies for stored and guessed values."""
+    kind = draw(st.sampled_from(["category", "text", "number", "set", "dynamic"]))
+    if kind == "number":
+        threshold = draw(st.sampled_from([0, 1, 3]))
+        pools = NUMBERS, UNSEEN_NUMBERS
+    elif kind == "set":
+        threshold, pools = 0.5, (SETS, UNSEEN_SETS)
+    else:
+        threshold = 1 if kind == "text" else 0
+        pools = VALUES, UNSEEN
+    seen = pools[0][: draw(st.integers(1, len(pools[0])))]
+    spec = AttributeSpec(f"{kind[0]}{i}", kind, match_threshold=threshold)
+    return spec, st.sampled_from(seen), st.sampled_from(pools[0] + pools[1])
+
+
+@st.composite
 def instances(draw):
     """A dataset plus an attacker over its catalog: population, uniform or file."""
-    width = draw(st.integers(1, 4))
-    specs = []
-    for i in range(width):
-        if draw(st.booleans()) and draw(st.booleans()):
-            specs.append(AttributeSpec(f"t{i}", "text", match_threshold=1))
-        else:
-            specs.append(AttributeSpec(f"c{i}", "category"))
-    catalog = AttributeCatalog(tuple(specs))
+    attributes = [draw(attribute(i)) for i in range(draw(st.integers(1, 4)))]
+    catalog = AttributeCatalog(tuple(spec for spec, _, _ in attributes))
+    # Columns in catalog order, which sorts the attributes by name.
+    order = sorted(range(len(attributes)), key=lambda i: attributes[i][0].name)
     names = catalog.names
-    values = st.sampled_from(VALUES[: draw(st.integers(1, len(VALUES)))])
-    rows = draw(st.lists(st.tuples(*[values] * width), min_size=1, max_size=24))
+    rows = draw(st.lists(st.tuples(*[attributes[i][1] for i in order]),
+                         min_size=1, max_size=24))
     observations = []
     for user, row in enumerate(rows):
         for seq in range(draw(st.integers(1, 2))):
@@ -69,10 +88,8 @@ def instances(draw):
         return dataset, uniform_attacker(dataset, beta)
     # Small integer weights make probability ties common, including sums
     # such as 1/7 + 2/7 against 3/7 that tie or not by composition.
-    pool = st.sampled_from(VALUES + UNSEEN)
-    support = draw(
-        st.lists(st.tuples(*[pool] * width), min_size=1, max_size=12, unique=True)
-    )
+    support = draw(st.lists(st.tuples(*[attributes[i][2] for i in order]),
+                            min_size=1, max_size=12, unique=True))
     weights = draw(st.lists(st.integers(1, 4), min_size=len(support),
                             max_size=len(support)))
     total = sum(weights)
