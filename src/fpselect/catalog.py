@@ -142,11 +142,13 @@ def load_catalog(path: str | Path) -> AttributeCatalog:
             raise SchemaError(
                 f"{path}: entry {i}: match_threshold must be a number"
             ) from None
+        if not isinstance(entry.get("async", False), bool):
+            raise SchemaError(f"{path}: entry {i}: async must be true or false")
         specs.append(
             AttributeSpec(
                 name=str(entry["name"]),
                 kind=str(entry["kind"]),
-                is_async=bool(entry.get("async", False)),
+                is_async=entry.get("async", False),
                 match_threshold=threshold,
                 set_separator=str(entry.get("set_separator", ";")),
             )

@@ -121,47 +121,49 @@ def _load_file_config(path: str | None) -> dict:
     return raw
 
 
-def _pick(flag, file_config: dict, key: str, env: str | None, default):
+def _pick(flag, file_config: dict, key: str, default, env: str | None = None,
+          convert=None):
+    """The flag, else the config file's ``key``, else ``env``, else ``default``.
+
+    With ``convert``, the value must be a number that it accepts.
+    """
     if flag is not None:
-        return flag
-    if key in file_config:
-        return file_config[key]
-    if env and os.environ.get(env):
-        return os.environ[env]
-    return default
-
-
-def _pick_number(convert, flag, file_config: dict, key: str, default):
-    value = _pick(flag, file_config, key, None, default)
+        value = flag
+    elif key in file_config:
+        value = file_config[key]
+    elif env and os.environ.get(env):
+        value = os.environ[env]
+    else:
+        value = default
+    if convert is None:
+        return value
     try:
         return convert(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key} must be a number, got {value!r}") from None
 
 
 def _build_run_config(args: argparse.Namespace, method: str) -> RunConfig:
     file_config = _load_file_config(getattr(args, "config", None))
-    weights_text = _pick(args.weights, file_config, "weights", None, "1,10,10000")
+    weights_text = _pick(args.weights, file_config, "weights", "1,10,10000")
     if isinstance(weights_text, list):
         weights_text = ",".join(map(str, weights_text))
     weights = CostWeights.parse(str(weights_text))
-    alpha = _pick_number(float, args.alpha, file_config, "alpha", 0)
+    alpha = _pick(args.alpha, file_config, "alpha", 0, convert=float)
     if alpha == 0:
         raise ConfigError("missing --alpha")
     return RunConfig(
         method=method,
-        dataset=str(_pick(args.dataset, file_config, "dataset", ENV_DATASET, "")),
-        catalog=str(_pick(args.catalog, file_config, "catalog", ENV_CATALOG, "")),
+        dataset=str(_pick(args.dataset, file_config, "dataset", "", ENV_DATASET)),
+        catalog=str(_pick(args.catalog, file_config, "catalog", "", ENV_CATALOG)),
         alpha=alpha,
-        beta=_pick_number(int, args.beta, file_config, "beta", 1),
-        k=_pick_number(int, getattr(args, "k", None), file_config, "k", 1),
+        beta=_pick(args.beta, file_config, "beta", 1, convert=int),
+        k=_pick(getattr(args, "k", None), file_config, "k", 1, convert=int),
         weights=weights,
-        knowledge=str(
-            _pick(args.knowledge, file_config, "knowledge", None, "population")
-        ),
-        pmf_path=_pick(args.pmf_path, file_config, "pmf_path", None, None),
-        seed=_pick_number(int, args.seed, file_config, "seed", 0),
-        out=_pick(args.out, file_config, "out", ENV_OUT, None),
+        knowledge=str(_pick(args.knowledge, file_config, "knowledge", "population")),
+        pmf_path=_pick(args.pmf_path, file_config, "pmf_path", None),
+        seed=_pick(args.seed, file_config, "seed", 0, convert=int),
+        out=_pick(args.out, file_config, "out", None, ENV_OUT),
     )
 
 
@@ -252,12 +254,34 @@ def _write_trace_csv(result: SelectionResult, path: str) -> None:
             )
 
 
-def _finish_selection(result: SelectionResult, config: RunConfig,
-                      trace_csv: str | None) -> int:
-    report = _selection_report(result, config)
-    _write_report(report, config.out)
-    if trace_csv:
-        _write_trace_csv(result, trace_csv)
+# ---------------------------------------------------------------------------
+# Subcommand handlers
+# ---------------------------------------------------------------------------
+
+
+def _cmd_search(args: argparse.Namespace) -> int:
+    """select, baseline and oracle: search the lattice and report the set."""
+    config = _build_run_config(args, args.method)
+    greedy = args.method == "greedy"
+    if greedy and args.threads is not None and args.threads < 1:
+        raise ConfigError("--threads must be >= 1")
+    dataset, attacker = _load_inputs(config)
+    selection = SelectionConfig(alpha=config.alpha, k=config.k if greedy else 1,
+                                weights=config.weights)
+    if greedy:
+        result = select_greedy(dataset, attacker, selection,
+                               max_workers=args.threads)
+    elif args.method == "oracle":
+        result = select_exhaustive(dataset, attacker, selection,
+                                   max_attributes=args.max_n)
+    elif args.method == "entropy":
+        result = select_entropy_baseline(dataset, attacker, selection)
+    else:
+        result = select_cond_entropy_baseline(dataset, attacker, selection)
+
+    _write_report(_selection_report(result, config), config.out)
+    if args.trace_csv:
+        _write_trace_csv(result, args.trace_csv)
     if result.is_no_solution:
         _progress(
             "no solution: even the full candidate set has sensitivity"
@@ -270,45 +294,6 @@ def _finish_selection(result: SelectionResult, config: RunConfig,
         f" explored {result.explored_count} sets"
     )
     return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# Subcommand handlers
-# ---------------------------------------------------------------------------
-
-
-def _cmd_select(args: argparse.Namespace) -> int:
-    config = _build_run_config(args, "greedy")
-    if args.threads is not None and args.threads < 1:
-        raise ConfigError("--threads must be >= 1")
-    dataset, attacker = _load_inputs(config)
-    selection = SelectionConfig(alpha=config.alpha, k=config.k,
-                                weights=config.weights)
-    result = select_greedy(dataset, attacker, selection,
-                           max_workers=args.threads)
-    return _finish_selection(result, config, args.trace_csv)
-
-
-def _cmd_baseline(args: argparse.Namespace) -> int:
-    config = _build_run_config(args, args.method)
-    dataset, attacker = _load_inputs(config)
-    selection = SelectionConfig(alpha=config.alpha, k=1, weights=config.weights)
-    runner = (
-        select_entropy_baseline
-        if args.method == "entropy"
-        else select_cond_entropy_baseline
-    )
-    result = runner(dataset, attacker, selection)
-    return _finish_selection(result, config, args.trace_csv)
-
-
-def _cmd_oracle(args: argparse.Namespace) -> int:
-    config = _build_run_config(args, "oracle")
-    dataset, attacker = _load_inputs(config)
-    selection = SelectionConfig(alpha=config.alpha, k=1, weights=config.weights)
-    result = select_exhaustive(dataset, attacker, selection,
-                               max_attributes=args.max_n)
-    return _finish_selection(result, config, args.trace_csv)
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
@@ -411,19 +396,19 @@ def build_parser() -> argparse.ArgumentParser:
                           help="accepted for compatibility, must be >= 1:"
                                " sets are measured one at a time, and every"
                                " value gives the same report")
-    p_select.set_defaults(handler=_cmd_select)
+    p_select.set_defaults(handler=_cmd_search, method="greedy")
 
     p_baseline = sub.add_parser("baseline", help="entropy-based selection")
     p_baseline.add_argument("--method", required=True,
                             choices=["entropy", "cond-entropy"])
     _add_common_selection_flags(p_baseline)
-    p_baseline.set_defaults(handler=_cmd_baseline)
+    p_baseline.set_defaults(handler=_cmd_search)
 
     p_oracle = sub.add_parser("oracle", help="exhaustive enumeration")
     p_oracle.add_argument("--max-n", dest="max_n", type=int, default=15,
                           help="refuse to enumerate above this attribute count")
     _add_common_selection_flags(p_oracle)
-    p_oracle.set_defaults(handler=_cmd_oracle)
+    p_oracle.set_defaults(handler=_cmd_search, method="oracle")
 
     p_eval = sub.add_parser("evaluate", help="measure a hand-picked set")
     p_eval.add_argument("--attrs", required=True,

@@ -217,10 +217,11 @@ class Dataset:
     @cached_property
     def attribute_byte_totals(self) -> dict[str, int]:
         """Sum of UTF-8 value sizes per attribute over all observations."""
-        totals = dict.fromkeys(self.catalog.names, 0)
-        for obs in self.observations:
-            for a in self.catalog.names:
-                totals[a] += utf8_size(obs.values[a])
+        coded = self.codes
+        totals = {}
+        for j, (a, lookup) in enumerate(zip(self.catalog.names, coded.lookup)):
+            counts = np.bincount(coded.matrix[:, j], minlength=len(lookup))
+            totals[a] = sum(utf8_size(v) * n for v, n in zip(lookup, counts.tolist()))
         return totals
 
     @cached_property
@@ -235,23 +236,27 @@ class Dataset:
     @cached_property
     def attribute_change_counts(self) -> dict[str, int]:
         """How many consecutive same-browser pairs changed, per attribute."""
-        counts = dict.fromkeys(self.catalog.names, 0)
-        for earlier, later in self.iter_consecutive_observations():
-            for a in self.catalog.names:
-                if earlier.values[a] != later.values[a]:
-                    counts[a] += 1
-        return counts
+        earlier, later = self._pairs
+        matrix = self.codes.matrix
+        changed = (matrix[earlier] != matrix[later]).sum(axis=0)
+        return dict(zip(self.catalog.names, changed.tolist()))
 
     @cached_property
+    def _pairs(self) -> np.ndarray:
+        """Rows: earlier and later observation index of every consecutive
+        same-browser pair, browser by browser."""
+        pairs = [p for ix in self._group_index.values() for p in zip(ix, ix[1:])]
+        return np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+
+    @property
     def consecutive_pair_count(self) -> int:
-        return sum(max(len(ix) - 1, 0) for ix in self._group_index.values())
+        return self._pairs.shape[1]
 
     def iter_consecutive_observations(
         self,
     ) -> Iterator[tuple[Observation, Observation]]:
-        for ix in self._group_index.values():
-            for a, b in zip(ix, ix[1:]):
-                yield self.observations[a], self.observations[b]
+        for a, b in self._pairs.T.tolist():
+            yield self.observations[a], self.observations[b]
 
 
 def _validate_observation(obs: Observation, names: set[str], where: str) -> None:
@@ -307,7 +312,7 @@ def load_observations(path: str | Path, catalog: AttributeCatalog) -> Dataset:
             try:
                 seq = int(row["seq"])
                 collect_ms = {a: float(t) for a, t in collect.items()}
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise SchemaError(f"{where}: {exc}") from exc
             obs = Observation(
                 browser_id=str(row["browser_id"]),

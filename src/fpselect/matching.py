@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import enum
 import hashlib
-import json
 import math
 import random
 import statistics
 from bisect import bisect_right
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .catalog import AttributeCatalog, AttributeSpec
 from .dataset import Dataset
@@ -154,12 +152,6 @@ class CalibrationReport:
             },
         }
 
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-
     def apply(self, catalog: AttributeCatalog) -> AttributeCatalog:
         """Copy of the catalog with the averaged thresholds written in.
 
@@ -244,14 +236,13 @@ def calibrate_thresholds(
         raise ConfigError("windows must be >= 1")
     catalog = dataset.catalog
     groups = _window_split(dataset, windows)
+    window_of = {b: w for w, browsers in enumerate(groups) for b in browsers}
+    window_pairs: list[list] = [[] for _ in groups]
+    for earlier, later in dataset.iter_consecutive_observations():
+        window_pairs[window_of[earlier.browser_id]].append((earlier, later))
 
     window_thresholds: dict[str, list[float]] = {a: [] for a in catalog.names}
-    for w, browsers in enumerate(groups):
-        pairs = [
-            (earlier, later)
-            for b in browsers
-            for earlier, later in _browser_pairs(dataset, b)
-        ]
+    for w, (browsers, pairs) in enumerate(zip(groups, window_pairs)):
         if not pairs:
             raise ConfigError(
                 f"window {w}: no consecutive same-browser fingerprints"
@@ -295,11 +286,6 @@ def _value_distance(attr: AttributeSpec, x: str, y: str) -> float:
         return distance(distance_kind_for(attr), x, y, attr.set_separator)
     except ValueError as exc:
         raise SchemaError(f"attribute {attr.name!r}: {exc}") from None
-
-
-def _browser_pairs(dataset: Dataset, browser_id: str):
-    obs = dataset.browser_observations(browser_id)
-    return zip(obs, obs[1:])
 
 
 def _negative_distances(

@@ -117,7 +117,7 @@ def attacker_from_file(
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(raw, dict) or "entries" not in raw:
+    if not isinstance(raw, dict) or not isinstance(raw.get("entries"), list):
         raise SchemaError(f"{path}: expected an object with an 'entries' array")
     attrs = tuple(raw.get("attributes", ()))
     if attrs != catalog.names:
@@ -126,8 +126,9 @@ def attacker_from_file(
         )
     entries = []
     for i, entry in enumerate(raw["entries"]):
-        if not isinstance(entry, dict) or "values" not in entry or "p" not in entry:
-            raise SchemaError(f"{path}: entry {i} needs 'values' and 'p'")
+        if (not isinstance(entry, dict) or "p" not in entry
+                or not isinstance(entry.get("values"), list)):
+            raise SchemaError(f"{path}: entry {i} needs a 'values' array and 'p'")
         try:
             p = float(entry["p"])
         except (TypeError, ValueError):

@@ -42,6 +42,11 @@ class SynthAttribute:
     copy_of: str | None = None
 
     def __post_init__(self) -> None:
+        for param in ("cardinality", "value_bytes"):
+            if not isinstance(getattr(self, param), int):
+                raise ConfigError(
+                    f"attribute {self.name!r}: {param} must be an integer"
+                )
         if self.copy_of is None and self.cardinality < 1:
             raise ConfigError(f"attribute {self.name!r}: cardinality must be >= 1")
         if self.zipf_skew < 0:
@@ -105,7 +110,7 @@ def load_synth_config(path: str | Path) -> SynthConfig:
         )
     except KeyError as exc:
         raise SchemaError(f"{path}: missing field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{path}: {exc}") from exc
 
 

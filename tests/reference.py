@@ -3,8 +3,11 @@
 These are the projection-based bodies of ``build_dictionary``,
 ``impersonated_users`` and ``joint_entropy_bits`` from before the measures
 moved to integer codes. They project every PMF entry or stored
-fingerprint per call and hash the tuples. Property tests pin the coded
-kernels to them, float for float.
+fingerprint per call and hash the tuples. The row walks behind the cost
+columns, ``Dataset.attribute_byte_totals``,
+``Dataset.attribute_change_counts`` and the consecutive-pair walk, read
+every ``Observation.values`` dict. Property tests pin the coded kernels
+to them, float for float and count for count.
 """
 
 from __future__ import annotations
@@ -13,7 +16,15 @@ import math
 from collections import Counter
 from typing import Iterable
 
-from fpselect import AttributeCatalog, ConfigError, Dataset, fp_match, project
+from fpselect import (
+    AttributeCatalog,
+    ConfigError,
+    Dataset,
+    Observation,
+    fp_match,
+    project,
+)
+from fpselect.dataset import utf8_size
 from fpselect.sensitivity import AttackerInstance, Dictionary, UserMapping
 
 
@@ -81,3 +92,31 @@ def joint_entropy_bits(dataset: Dataset, attrs: Iterable[str]) -> float:
     return -sum(
         (c / population) * math.log2(c / population) for c in counts.values()
     )
+
+
+def consecutive_observations(dataset: Dataset) -> list[tuple[Observation, Observation]]:
+    """Consecutive observations of the same browser, browser by browser."""
+    pairs = []
+    for browser in dataset.browser_ids:
+        obs = dataset.browser_observations(browser)
+        pairs.extend(zip(obs, obs[1:]))
+    return pairs
+
+
+def attribute_byte_totals(dataset: Dataset) -> dict[str, int]:
+    """Sum of UTF-8 value sizes per attribute over all observations."""
+    totals = dict.fromkeys(dataset.catalog.names, 0)
+    for obs in dataset.observations:
+        for a in dataset.catalog.names:
+            totals[a] += utf8_size(obs.values[a])
+    return totals
+
+
+def attribute_change_counts(dataset: Dataset) -> dict[str, int]:
+    """How many consecutive same-browser pairs changed, per attribute."""
+    counts = dict.fromkeys(dataset.catalog.names, 0)
+    for earlier, later in consecutive_observations(dataset):
+        for a in dataset.catalog.names:
+            if earlier.values[a] != later.values[a]:
+                counts[a] += 1
+    return counts

@@ -358,59 +358,79 @@ def _number_calibration(tmp_path, value):
             "--windows", "1"]
 
 
+def _huge(obj) -> str:
+    """JSON text of ``obj`` with every ``"HUGE"`` string written as 1e400."""
+    return json.dumps(obj).replace('"HUGE"', "1e400")
+
+
 def _run_config(tmp_path, dataset, catalog, **fields):
     path = tmp_path / "run.json"
-    path.write_text(json.dumps(
+    path.write_text(_huge(
         {"dataset": str(dataset), "catalog": str(catalog), "alpha": 0.2, **fields}
     ))
     return ["select", "--config", str(path)]
 
 
-def _bad_threshold(tmp_path, dataset, catalog):
+def _catalog_entry(tmp_path, dataset, catalog, **fields):
     entries = json.loads(catalog.read_text())
-    entries[0]["match_threshold"] = "x"
+    entries[0].update(fields)
     catalog.write_text(json.dumps(entries))
     return ["select", "--dataset", str(dataset), "--catalog", str(catalog),
             "--alpha", "0.2"]
 
 
-def _bad_probability(tmp_path, dataset, catalog):
+def _file_attacker(tmp_path, dataset, catalog, entries):
     pmf = tmp_path / "pmf.json"
     pmf.write_text(json.dumps({
-        "attributes": sorted(TABLE1_ATTRS),
-        "entries": [{"values": ["True", "fr", "1080", "-1"], "p": "abc"}],
+        "attributes": sorted(TABLE1_ATTRS), "entries": entries,
     }))
     return ["select", "--dataset", str(dataset), "--catalog", str(catalog),
             "--alpha", "0.2", "--knowledge", "file", "--pmf-path", str(pmf)]
 
 
-def _nan_collect_ms(tmp_path, dataset, catalog):
+def _first_row(tmp_path, dataset, catalog, **fields):
     lines = dataset.read_text().splitlines()
-    row = json.loads(lines[0])
-    row["collect_ms"] = {"Screen": float("nan")}
-    lines[0] = json.dumps(row)
+    lines[0] = _huge({**json.loads(lines[0]), **fields})
     dataset.write_text("\n".join(lines) + "\n")
     return ["evaluate", "--attrs", "Screen", "--dataset", str(dataset),
             "--catalog", str(catalog), "--alpha", "0.2"]
 
 
-def _bad_browsers(tmp_path, dataset, catalog):
+def _synth_config(tmp_path, browsers=24, **attribute):
+    first, *rest = GENERATOR_CONFIG["attributes"]
     config = tmp_path / "generator.json"
-    config.write_text(json.dumps({**GENERATOR_CONFIG, "browsers": "x"}))
+    config.write_text(_huge({
+        **GENERATOR_CONFIG, "browsers": browsers,
+        "attributes": [{**first, **attribute}, *rest],
+    }))
     return ["synth", "--config", str(config)]
 
 
 MALFORMED = {
-    "catalog-threshold": _bad_threshold,
-    "pmf-probability": _bad_probability,
+    "catalog-threshold": lambda t, d, c: _catalog_entry(
+        t, d, c, match_threshold="x"),
+    "catalog-async-string": lambda t, d, c: _catalog_entry(t, d, c, **{
+        "async": "false"}),
+    "pmf-probability": lambda t, d, c: _file_attacker(
+        t, d, c, [{"values": ["True", "fr", "1080", "-1"], "p": "abc"}]),
+    "pmf-entries-number": lambda t, d, c: _file_attacker(t, d, c, 5),
+    "pmf-values-number": lambda t, d, c: _file_attacker(
+        t, d, c, [{"values": 5, "p": 1.0}]),
     "config-beta": lambda t, d, c: _run_config(t, d, c, beta="x"),
+    "config-beta-overflow": lambda t, d, c: _run_config(t, d, c, beta="HUGE"),
+    "config-k-overflow": lambda t, d, c: _run_config(t, d, c, k="HUGE"),
     "config-alpha": lambda t, d, c: _run_config(t, d, c, alpha="x"),
     "config-weights": lambda t, d, c: _run_config(t, d, c, weights=["a", 1, 1]),
-    "synth-browsers": _bad_browsers,
+    "synth-browsers": lambda t, d, c: _synth_config(t, browsers="x"),
+    "synth-browsers-overflow": lambda t, d, c: _synth_config(t, browsers="HUGE"),
+    "synth-float-cardinality": lambda t, d, c: _synth_config(t, cardinality=2.5),
+    "synth-float-value-bytes": lambda t, d, c: _synth_config(t, value_bytes=3.0),
     "calibrate-text-number": lambda t, d, c: _number_calibration(t, "x"),
     "calibrate-nan": lambda t, d, c: _number_calibration(t, "nan"),
     "calibrate-inf": lambda t, d, c: _number_calibration(t, "inf"),
-    "nan-collect-ms": _nan_collect_ms,
+    "nan-collect-ms": lambda t, d, c: _first_row(
+        t, d, c, collect_ms={"Screen": float("nan")}),
+    "seq-overflow": lambda t, d, c: _first_row(t, d, c, seq="HUGE"),
     "overflowing-cost": lambda t, d, c: [
         "evaluate", "--attrs", "Screen", "--dataset", str(d), "--catalog",
         str(c), "--alpha", "0.2", "--weights", "1e308,10,10000",

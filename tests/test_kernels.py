@@ -2,7 +2,7 @@
 
 Every comparison is exact: the coded kernels add the same floats in the
 same order, so dictionaries, probabilities, user sets and entropies must
-agree bit for bit, ties included.
+agree bit for bit, ties included, and the cost columns count for count.
 """
 
 from __future__ import annotations
@@ -70,14 +70,21 @@ def instances(draw):
     # Columns in catalog order, which sorts the attributes by name.
     order = sorted(range(len(attributes)), key=lambda i: attributes[i][0].name)
     names = catalog.names
-    rows = draw(st.lists(st.tuples(*[attributes[i][1] for i in order]),
-                         min_size=1, max_size=24))
-    observations = []
-    for user, row in enumerate(rows):
-        for seq in range(draw(st.integers(1, 2))):
-            observations.append(
-                Observation(f"u{user}", seq, dict(zip(names, row)), {})
-            )
+    row = st.tuples(*[attributes[i][1] for i in order])
+    # One to three observations per user, each either a repeat of the
+    # previous one or a fresh draw, interleaved across users.
+    users = []
+    for first in draw(st.lists(row, min_size=1, max_size=24)):
+        values = [first]
+        for _ in range(draw(st.integers(0, 2))):
+            values.append(values[-1] if draw(st.booleans()) else draw(row))
+        users.append(values)
+    slots = [u for u, values in enumerate(users) for _ in values]
+    observations, seen = [], [0] * len(users)
+    for u in draw(st.permutations(slots)):
+        values = dict(zip(names, users[u][seen[u]]))
+        observations.append(Observation(f"u{u}", seen[u], values, {}))
+        seen[u] += 1
     dataset = Dataset(catalog, tuple(observations))
 
     beta = draw(st.integers(1, 6))
@@ -137,6 +144,23 @@ def test_joint_entropy_matches_reference(instance, data):
     assert joint_entropy_bits(dataset, attrs) == reference.joint_entropy_bits(
         dataset, attrs
     )
+
+
+@SETTINGS
+@given(instances())
+def test_cost_columns_match_row_walks(instance):
+    dataset, _ = instance
+    pairs = reference.consecutive_observations(dataset)
+    assert list(dataset.iter_consecutive_observations()) == pairs
+    assert dataset.consecutive_pair_count == len(pairs)
+    for got, expected in (
+        (dataset.attribute_byte_totals, reference.attribute_byte_totals(dataset)),
+        (dataset.attribute_change_counts,
+         reference.attribute_change_counts(dataset)),
+    ):
+        assert got == expected
+        # Python ints, so the cost floats are computed as before.
+        assert all(type(v) is int for v in got.values())
 
 
 def test_group_keys_renumber_before_overflow():
