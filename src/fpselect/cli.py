@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .catalog import load_catalog, save_catalog
 from .cost import CostWeights, attribute_cost_stats
-from .dataset import Dataset, load_observations, save_dataset
+from .dataset import Dataset, as_int, load_observations, save_dataset
 from .errors import ConfigError, FpselectError, SchemaError
 from .matching import calibrate_thresholds
 from .selection import (
@@ -118,6 +118,9 @@ def _load_file_config(path: str | None) -> dict:
         raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise SchemaError(f"{path}: run config must be a JSON object")
+    for key in ("dataset", "catalog", "pmf_path", "out"):
+        if raw.get(key) is not None and not isinstance(raw[key], str):
+            raise ConfigError(f"{key} must be a path string, got {raw[key]!r}")
     return raw
 
 
@@ -125,7 +128,8 @@ def _pick(flag, file_config: dict, key: str, default, env: str | None = None,
           convert=None):
     """The flag, else the config file's ``key``, else ``env``, else ``default``.
 
-    With ``convert``, the value must be a number that it accepts.
+    With ``convert`` (``float`` or ``as_int``), the value must be a number
+    that it accepts.
     """
     if flag is not None:
         value = flag
@@ -140,7 +144,8 @@ def _pick(flag, file_config: dict, key: str, default, env: str | None = None,
     try:
         return convert(value)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+        what = "an integer" if convert is as_int else "a number"
+        raise ConfigError(f"{key} must be {what}, got {value!r}") from None
 
 
 def _build_run_config(args: argparse.Namespace, method: str) -> RunConfig:
@@ -154,15 +159,15 @@ def _build_run_config(args: argparse.Namespace, method: str) -> RunConfig:
         raise ConfigError("missing --alpha")
     return RunConfig(
         method=method,
-        dataset=str(_pick(args.dataset, file_config, "dataset", "", ENV_DATASET)),
-        catalog=str(_pick(args.catalog, file_config, "catalog", "", ENV_CATALOG)),
+        dataset=_pick(args.dataset, file_config, "dataset", "", ENV_DATASET),
+        catalog=_pick(args.catalog, file_config, "catalog", "", ENV_CATALOG),
         alpha=alpha,
-        beta=_pick(args.beta, file_config, "beta", 1, convert=int),
-        k=_pick(getattr(args, "k", None), file_config, "k", 1, convert=int),
+        beta=_pick(args.beta, file_config, "beta", 1, convert=as_int),
+        k=_pick(getattr(args, "k", None), file_config, "k", 1, convert=as_int),
         weights=weights,
         knowledge=str(_pick(args.knowledge, file_config, "knowledge", "population")),
         pmf_path=_pick(args.pmf_path, file_config, "pmf_path", None),
-        seed=_pick(args.seed, file_config, "seed", 0, convert=int),
+        seed=_pick(args.seed, file_config, "seed", 0, convert=as_int),
         out=_pick(args.out, file_config, "out", None, ENV_OUT),
     )
 
@@ -266,6 +271,12 @@ def _cmd_search(args: argparse.Namespace) -> int:
     if greedy and args.threads is not None and args.threads < 1:
         raise ConfigError("--threads must be >= 1")
     dataset, attacker = _load_inputs(config)
+    tolerant = [s.name for s in dataset.catalog.attributes if not s.matches_exactly]
+    if greedy and tolerant:
+        _progress(
+            f"warning: {', '.join(tolerant)} match tolerantly, so sensitivity may"
+            " not be monotone and greedy pruning can miss cheaper sets"
+        )
     selection = SelectionConfig(alpha=config.alpha, k=config.k if greedy else 1,
                                 weights=config.weights)
     if greedy:

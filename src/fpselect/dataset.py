@@ -28,6 +28,13 @@ def utf8_size(value: str) -> int:
     return len(value.encode("utf-8"))
 
 
+def as_int(value) -> int:
+    """``int(value)``, but a boolean or a fractional number raises ``ValueError``."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Observation:
     """One fingerprint collected from one browser at one point in time."""
@@ -310,7 +317,7 @@ def load_observations(path: str | Path, catalog: AttributeCatalog) -> Dataset:
             if not isinstance(collect, dict):
                 raise SchemaError(f"{where}: 'collect_ms' must be an object")
             try:
-                seq = int(row["seq"])
+                seq = as_int(row["seq"])
                 collect_ms = {a: float(t) for a, t in collect.items()}
             except (TypeError, ValueError, OverflowError) as exc:
                 raise SchemaError(f"{where}: {exc}") from exc

@@ -10,13 +10,16 @@ dynamic attributes must be identical.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import math
 import random
 import statistics
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
+
+import numpy as np
 
 from .catalog import AttributeCatalog, AttributeSpec
 from .dataset import Dataset
@@ -204,13 +207,6 @@ def max_margin_threshold(
     return best[2]
 
 
-def _window_split(dataset: Dataset, windows: int) -> list[list[str]]:
-    groups: list[list[str]] = [[] for _ in range(windows)]
-    for i, browser in enumerate(dataset.browser_ids):
-        groups[i % windows].append(browser)
-    return groups
-
-
 def _derived_rng(seed: int, window: int, attribute: str) -> random.Random:
     digest = hashlib.sha256(f"{seed}:{window}:{attribute}".encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
@@ -234,32 +230,35 @@ def calibrate_thresholds(
     """
     if windows < 1:
         raise ConfigError("windows must be >= 1")
-    catalog = dataset.catalog
-    groups = _window_split(dataset, windows)
-    window_of = {b: w for w, browsers in enumerate(groups) for b in browsers}
-    window_pairs: list[list] = [[] for _ in groups]
-    for earlier, later in dataset.iter_consecutive_observations():
-        window_pairs[window_of[earlier.browser_id]].append((earlier, later))
+    catalog, coded = dataset.catalog, dataset.codes
+    # Each browser's observation indices, by browser ordinal. The pair index
+    # runs browser by browser: one with n observations owns the next n - 1.
+    members = list(dataset._group_index.values())
+    window = np.repeat([b % windows for b in range(len(members))],
+                       [len(ix) - 1 for ix in members])
+    measures = [_pair_distances(attr, list(lookup))
+                for attr, lookup in zip(catalog.attributes, coded.lookup)]
 
     window_thresholds: dict[str, list[float]] = {a: [] for a in catalog.names}
-    for w, (browsers, pairs) in enumerate(zip(groups, window_pairs)):
-        if not pairs:
+    for w in range(windows):
+        earlier, later = dataset._pairs[:, window == w]
+        if not earlier.size:
             raise ConfigError(
                 f"window {w}: no consecutive same-browser fingerprints"
             )
+        browsers = range(w, len(members), windows)
         if len(browsers) < 2:
             raise ConfigError(f"window {w}: needs at least two browsers")
-        for attr in catalog.attributes:
-            positives = [
-                _value_distance(
-                    attr, earlier.values[attr.name], later.values[attr.name]
-                )
-                for earlier, later in pairs
-            ]
+        for j, (attr, measure) in enumerate(zip(catalog.attributes, measures)):
+            column = coded.matrix[:, j]
+            positives = measure(column[earlier], column[later])
             rng = _derived_rng(seed, w, attr.name)
-            negatives = _negative_distances(
-                dataset, browsers, attr, min(len(positives), negative_cap), rng
-            )
+            firsts, seconds = [], []
+            for _ in range(min(len(positives), negative_cap)):
+                first, second = rng.sample(browsers, 2)
+                firsts.append(rng.choice(members[first]))
+                seconds.append(rng.choice(members[second]))
+            negatives = measure(column[firsts], column[seconds])
             if not negatives:
                 raise ConfigError(
                     f"window {w}: no cross-browser pairs for {attr.name!r}"
@@ -281,24 +280,19 @@ def calibrate_thresholds(
     )
 
 
-def _value_distance(attr: AttributeSpec, x: str, y: str) -> float:
-    try:
-        return distance(distance_kind_for(attr), x, y, attr.set_separator)
-    except ValueError as exc:
-        raise SchemaError(f"attribute {attr.name!r}: {exc}") from None
+def _pair_distances(attr: AttributeSpec, values: Sequence[str]) -> Callable:
+    """A function from two code arrays of ``attr`` to their values' distances.
 
+    It calls ``distance`` once per distinct ``(code, code)`` pair, in
+    first-seen order, so the first malformed value fails as without a memo.
+    """
+    kind = distance_kind_for(attr)
 
-def _negative_distances(
-    dataset: Dataset,
-    browsers: list[str],
-    attr: AttributeSpec,
-    count: int,
-    rng: random.Random,
-) -> list[float]:
-    out: list[float] = []
-    for _ in range(count):
-        first, second = rng.sample(browsers, 2)
-        x = rng.choice(dataset.browser_observations(first)).values[attr.name]
-        y = rng.choice(dataset.browser_observations(second)).values[attr.name]
-        out.append(_value_distance(attr, x, y))
-    return out
+    @functools.cache
+    def pair(x: int, y: int) -> float:
+        try:
+            return distance(kind, values[x], values[y], attr.set_separator)
+        except ValueError as exc:
+            raise SchemaError(f"attribute {attr.name!r}: {exc}") from None
+
+    return lambda xs, ys: list(map(pair, xs.tolist(), ys.tolist()))

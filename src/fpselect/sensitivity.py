@@ -119,11 +119,9 @@ def attacker_from_file(
         raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict) or not isinstance(raw.get("entries"), list):
         raise SchemaError(f"{path}: expected an object with an 'entries' array")
-    attrs = tuple(raw.get("attributes", ()))
-    if attrs != catalog.names:
-        raise SchemaError(
-            f"{path}: PMF attributes {list(attrs)} do not match the catalog"
-        )
+    attrs = raw.get("attributes")
+    if not isinstance(attrs, list) or tuple(attrs) != catalog.names:
+        raise SchemaError(f"{path}: PMF attributes {attrs!r} do not match the catalog")
     entries = []
     for i, entry in enumerate(raw["entries"]):
         if (not isinstance(entry, dict) or "p" not in entry
@@ -135,7 +133,7 @@ def attacker_from_file(
             raise SchemaError(f"{path}: entry {i}: 'p' must be a number") from None
         entries.append((tuple(str(v) for v in entry["values"]), p))
     return AttackerInstance(
-        pmf=Pmf(attrs, tuple(entries)), beta=beta, knowledge="file"
+        pmf=Pmf(catalog.names, tuple(entries)), beta=beta, knowledge="file"
     )
 
 

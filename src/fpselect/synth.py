@@ -10,13 +10,14 @@ fully correlated pairs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .catalog import AttributeCatalog, AttributeSpec
-from .dataset import Dataset, Observation
+from .dataset import Dataset, Observation, as_int
 from .errors import ConfigError, SchemaError
 
 
@@ -42,6 +43,8 @@ class SynthAttribute:
     copy_of: str | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str) or not self.name:
+            raise ConfigError(f"attribute name {self.name!r} is not a non-empty string")
         for param in ("cardinality", "value_bytes"):
             if not isinstance(getattr(self, param), int):
                 raise ConfigError(
@@ -53,8 +56,10 @@ class SynthAttribute:
             raise ConfigError(f"attribute {self.name!r}: zipf_skew must be >= 0")
         if not 0.0 <= self.change_prob <= 1.0:
             raise ConfigError(f"attribute {self.name!r}: change_prob outside [0, 1]")
-        if self.mean_collect_ms < 0:
-            raise ConfigError(f"attribute {self.name!r}: negative collection time")
+        if not 0 <= self.mean_collect_ms < math.inf:
+            raise ConfigError(
+                f"attribute {self.name!r}: collection time must be finite and >= 0"
+            )
         if self.value_bytes < 1:
             raise ConfigError(f"attribute {self.name!r}: value_bytes must be >= 1")
 
@@ -104,8 +109,8 @@ def load_synth_config(path: str | Path) -> SynthConfig:
             SynthAttribute(**entry) for entry in raw.get("attributes", [])
         )
         return SynthConfig(
-            browsers=int(raw["browsers"]),
-            observations_per_browser=int(raw["observations_per_browser"]),
+            browsers=as_int(raw["browsers"]),
+            observations_per_browser=as_int(raw["observations_per_browser"]),
             attributes=attributes,
         )
     except KeyError as exc:
@@ -139,6 +144,8 @@ def _value_pool(attr: SynthAttribute, cardinality: int) -> list[str]:
 def _rank_weights(cardinality: int, skew: float) -> np.ndarray:
     ranks = np.arange(1, cardinality + 1, dtype=float)
     weights = ranks ** -skew
+    if not (weights > 0).all():
+        raise ConfigError(f"zipf_skew {skew} leaves some of {cardinality} values out")
     return weights / weights.sum()
 
 

@@ -6,25 +6,37 @@ moved to integer codes. They project every PMF entry or stored
 fingerprint per call and hash the tuples. The row walks behind the cost
 columns, ``Dataset.attribute_byte_totals``,
 ``Dataset.attribute_change_counts`` and the consecutive-pair walk, read
-every ``Observation.values`` dict. Property tests pin the coded kernels
-to them, float for float and count for count.
+every ``Observation.values`` dict, as does ``calibrate_thresholds``, which
+also computes a distance for every pair it draws. Property tests pin the
+coded kernels to them, float for float and count for count.
 """
 
 from __future__ import annotations
 
 import math
+import random
+import statistics
 from collections import Counter
 from typing import Iterable
 
 from fpselect import (
     AttributeCatalog,
+    AttributeSpec,
+    CalibrationReport,
     ConfigError,
     Dataset,
     Observation,
+    SchemaError,
     fp_match,
     project,
 )
 from fpselect.dataset import utf8_size
+from fpselect.matching import (
+    _derived_rng,
+    distance,
+    distance_kind_for,
+    max_margin_threshold,
+)
 from fpselect.sensitivity import AttackerInstance, Dictionary, UserMapping
 
 
@@ -120,3 +132,91 @@ def attribute_change_counts(dataset: Dataset) -> dict[str, int]:
             if earlier.values[a] != later.values[a]:
                 counts[a] += 1
     return counts
+
+
+def _window_split(dataset: Dataset, windows: int) -> list[list[str]]:
+    groups: list[list[str]] = [[] for _ in range(windows)]
+    for i, browser in enumerate(dataset.browser_ids):
+        groups[i % windows].append(browser)
+    return groups
+
+
+def calibrate_thresholds(
+    dataset: Dataset,
+    windows: int,
+    *,
+    seed: int = 0,
+    negative_cap: int = 1000,
+) -> CalibrationReport:
+    """Per-window max-margin thresholds from consecutive (positive) and
+    randomly paired cross-browser (negative) observations, averaged."""
+    if windows < 1:
+        raise ConfigError("windows must be >= 1")
+    catalog = dataset.catalog
+    groups = _window_split(dataset, windows)
+    window_of = {b: w for w, browsers in enumerate(groups) for b in browsers}
+    window_pairs: list[list] = [[] for _ in groups]
+    for earlier, later in consecutive_observations(dataset):
+        window_pairs[window_of[earlier.browser_id]].append((earlier, later))
+
+    window_thresholds: dict[str, list[float]] = {a: [] for a in catalog.names}
+    for w, (browsers, pairs) in enumerate(zip(groups, window_pairs)):
+        if not pairs:
+            raise ConfigError(
+                f"window {w}: no consecutive same-browser fingerprints"
+            )
+        if len(browsers) < 2:
+            raise ConfigError(f"window {w}: needs at least two browsers")
+        for attr in catalog.attributes:
+            positives = [
+                _value_distance(
+                    attr, earlier.values[attr.name], later.values[attr.name]
+                )
+                for earlier, later in pairs
+            ]
+            rng = _derived_rng(seed, w, attr.name)
+            negatives = _negative_distances(
+                dataset, browsers, attr, min(len(positives), negative_cap), rng
+            )
+            if not negatives:
+                raise ConfigError(
+                    f"window {w}: no cross-browser pairs for {attr.name!r}"
+                )
+            window_thresholds[attr.name].append(
+                max_margin_threshold(positives, negatives)
+            )
+
+    averages = {
+        name: statistics.fmean(values)
+        for name, values in window_thresholds.items()
+    }
+    return CalibrationReport(
+        windows=windows,
+        window_thresholds={
+            name: tuple(values) for name, values in window_thresholds.items()
+        },
+        thresholds=averages,
+    )
+
+
+def _value_distance(attr: AttributeSpec, x: str, y: str) -> float:
+    try:
+        return distance(distance_kind_for(attr), x, y, attr.set_separator)
+    except ValueError as exc:
+        raise SchemaError(f"attribute {attr.name!r}: {exc}") from None
+
+
+def _negative_distances(
+    dataset: Dataset,
+    browsers: list[str],
+    attr: AttributeSpec,
+    count: int,
+    rng: random.Random,
+) -> list[float]:
+    out: list[float] = []
+    for _ in range(count):
+        first, second = rng.sample(browsers, 2)
+        x = rng.choice(dataset.browser_observations(first)).values[attr.name]
+        y = rng.choice(dataset.browser_observations(second)).values[attr.name]
+        out.append(_value_distance(attr, x, y))
+    return out

@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import copy
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpselect.cli import (
     EXIT_BAD_CONFIG,
@@ -379,11 +387,10 @@ def _catalog_entry(tmp_path, dataset, catalog, **fields):
             "--alpha", "0.2"]
 
 
-def _file_attacker(tmp_path, dataset, catalog, entries):
+def _file_attacker(tmp_path, dataset, catalog, entries,
+                   attributes=sorted(TABLE1_ATTRS)):
     pmf = tmp_path / "pmf.json"
-    pmf.write_text(json.dumps({
-        "attributes": sorted(TABLE1_ATTRS), "entries": entries,
-    }))
+    pmf.write_text(json.dumps({"attributes": attributes, "entries": entries}))
     return ["select", "--dataset", str(dataset), "--catalog", str(catalog),
             "--alpha", "0.2", "--knowledge", "file", "--pmf-path", str(pmf)]
 
@@ -396,11 +403,12 @@ def _first_row(tmp_path, dataset, catalog, **fields):
             "--catalog", str(catalog), "--alpha", "0.2"]
 
 
-def _synth_config(tmp_path, browsers=24, **attribute):
+def _synth_config(tmp_path, browsers=24, observations_per_browser=2, **attribute):
     first, *rest = GENERATOR_CONFIG["attributes"]
     config = tmp_path / "generator.json"
     config.write_text(_huge({
         **GENERATOR_CONFIG, "browsers": browsers,
+        "observations_per_browser": observations_per_browser,
         "attributes": [{**first, **attribute}, *rest],
     }))
     return ["synth", "--config", str(config)]
@@ -414,15 +422,30 @@ MALFORMED = {
     "pmf-probability": lambda t, d, c: _file_attacker(
         t, d, c, [{"values": ["True", "fr", "1080", "-1"], "p": "abc"}]),
     "pmf-entries-number": lambda t, d, c: _file_attacker(t, d, c, 5),
+    "pmf-attributes-number": lambda t, d, c: _file_attacker(
+        t, d, c, [{"values": ["True", "fr", "1080", "-1"], "p": 1.0}], attributes=5),
     "pmf-values-number": lambda t, d, c: _file_attacker(
         t, d, c, [{"values": 5, "p": 1.0}]),
     "config-beta": lambda t, d, c: _run_config(t, d, c, beta="x"),
     "config-beta-overflow": lambda t, d, c: _run_config(t, d, c, beta="HUGE"),
+    "config-beta-fraction": lambda t, d, c: _run_config(t, d, c, beta=2.7),
+    "config-beta-bool": lambda t, d, c: _run_config(t, d, c, beta=True),
     "config-k-overflow": lambda t, d, c: _run_config(t, d, c, k="HUGE"),
+    "config-k-fraction": lambda t, d, c: _run_config(t, d, c, k=2.5),
+    "config-seed-bool": lambda t, d, c: _run_config(t, d, c, seed=True),
+    "config-pmf-path-number": lambda t, d, c: _run_config(
+        t, d, c, knowledge="file", pmf_path=5),
+    "config-out-number": lambda t, d, c: _run_config(t, d, c, out=5),
     "config-alpha": lambda t, d, c: _run_config(t, d, c, alpha="x"),
     "config-weights": lambda t, d, c: _run_config(t, d, c, weights=["a", 1, 1]),
     "synth-browsers": lambda t, d, c: _synth_config(t, browsers="x"),
     "synth-browsers-overflow": lambda t, d, c: _synth_config(t, browsers="HUGE"),
+    "synth-browsers-fraction": lambda t, d, c: _synth_config(t, browsers=24.9),
+    "synth-observations-bool": lambda t, d, c: _synth_config(
+        t, observations_per_browser=True),
+    "synth-name-number": lambda t, d, c: _synth_config(t, name=1.5),
+    "synth-skew-overflow": lambda t, d, c: _synth_config(t, zipf_skew="HUGE"),
+    "synth-skew-underflow": lambda t, d, c: _synth_config(t, zipf_skew=2000),
     "synth-float-cardinality": lambda t, d, c: _synth_config(t, cardinality=2.5),
     "synth-float-value-bytes": lambda t, d, c: _synth_config(t, value_bytes=3.0),
     "calibrate-text-number": lambda t, d, c: _number_calibration(t, "x"),
@@ -431,6 +454,7 @@ MALFORMED = {
     "nan-collect-ms": lambda t, d, c: _first_row(
         t, d, c, collect_ms={"Screen": float("nan")}),
     "seq-overflow": lambda t, d, c: _first_row(t, d, c, seq="HUGE"),
+    "seq-fraction": lambda t, d, c: _first_row(t, d, c, seq=0.5),
     "overflowing-cost": lambda t, d, c: [
         "evaluate", "--attrs", "Screen", "--dataset", str(d), "--catalog",
         str(c), "--alpha", "0.2", "--weights", "1e308,10,10000",
@@ -449,6 +473,100 @@ def test_malformed_input_is_one_line_and_exit_3_or_4(tmp_path, capsys, case):
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("fields, warned", [
+    ({}, False),
+    ({"kind": "text", "match_threshold": 1}, True),
+])
+def test_select_warns_when_sensitivity_may_not_be_monotone(
+    tmp_path, capsys, fields, warned
+):
+    dataset, catalog = write_table1_files(tmp_path, repeats=2)
+    argv = _catalog_entry(tmp_path, dataset, catalog, **fields)
+    assert main([*argv, "--out", str(tmp_path / "out.json")]) == EXIT_OK
+    err = capsys.readouterr().err
+    assert ("warning: CookieEnabled match tolerantly" in err) is warned
+
+
+def _paths(doc, prefix=()):
+    """Every key or index path into ``doc``, containers included."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+def _fuzz_documents(directory):
+    """The valid input documents by file name, with the argv that reads each.
+
+    The dataset document is the first line of the worked example's file,
+    which is written to ``directory`` with its catalog.
+    """
+    dataset, catalog = write_table1_files(directory, repeats=2)
+    rows = [json.loads(line) for line in dataset.read_text().splitlines()]
+    names = sorted(TABLE1_ATTRS)
+    users = sorted({tuple(row["values"][a] for a in names) for row in rows})
+    select = ["select", "--config", "run.json"]
+    synth = ["synth", "--config", "generator.json", "--out", "synth.jsonl",
+             "--catalog-out", "synth-catalog.json"]
+    return {
+        "dataset.jsonl": (rows[0], select),
+        "catalog.json": (json.loads(catalog.read_text()), select),
+        "run.json": ({
+            "dataset": "dataset.jsonl", "catalog": "catalog.json", "alpha": 0.5,
+            "beta": 2, "k": 2, "seed": 1, "weights": [1, 10, 10000],
+            "knowledge": "file", "pmf_path": "pmf.json", "out": "report.json",
+        }, select),
+        "pmf.json": ({
+            "attributes": names,
+            "entries": [{"values": list(u), "p": 1 / len(users)} for u in users],
+        }, select),
+        "generator.json": (GENERATOR_CONFIG, synth),
+    }
+
+
+def _write_document(name, doc):
+    text = _huge(doc)
+    if name == "dataset.jsonl":
+        text = "\n".join([text, *Path(name).read_text().splitlines()[1:]])
+    Path(name).write_text(text + "\n")
+
+
+FUZZ_VALUES = [None, True, 1.5, -1, "HUGE", "x", [], {}]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_one_mutated_field_never_escapes_as_a_traceback(data):
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as directory:
+        # The documents name each other by relative path.
+        os.chdir(directory)
+        try:
+            documents = _fuzz_documents(Path(directory))
+            name = data.draw(st.sampled_from(sorted(documents)))
+            doc, argv = documents[name]
+            path = data.draw(st.sampled_from(list(_paths(doc))))
+            mutated = target = copy.deepcopy(doc)
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = data.draw(st.sampled_from(FUZZ_VALUES))
+            for other, (original, _) in documents.items():
+                _write_document(other, mutated if other == name else original)
+            err = io.StringIO()
+            with redirect_stderr(err), redirect_stdout(io.StringIO()):
+                status = main(argv)
+        finally:
+            os.chdir(home)
+    assert status in (EXIT_OK, EXIT_NO_SOLUTION, EXIT_SCHEMA_ERROR,
+                      EXIT_BAD_CONFIG)
+    assert "Traceback" not in err.getvalue()
 
 
 class TestConsoleEntry:

@@ -17,10 +17,13 @@ import reference
 from fpselect import (
     AttributeCatalog,
     AttributeSpec,
+    ConfigError,
     Dataset,
     Observation,
     Pmf,
+    SchemaError,
     build_dictionary,
+    calibrate_thresholds,
     impersonated_users,
     joint_entropy_bits,
     population_attacker,
@@ -57,7 +60,10 @@ def attribute(draw, i):
     else:
         threshold = 1 if kind == "text" else 0
         pools = VALUES, UNSEEN
-    seen = pools[0][: draw(st.integers(1, len(pools[0])))]
+    # A run of the pool: a number column can then hold only the malformed
+    # values at its end, which calibration rejects even in equal pairs.
+    start = draw(st.integers(0, len(pools[0]) - 1))
+    seen = pools[0][start : draw(st.integers(start + 1, len(pools[0])))]
     spec = AttributeSpec(f"{kind[0]}{i}", kind, match_threshold=threshold)
     return spec, st.sampled_from(seen), st.sampled_from(pools[0] + pools[1])
 
@@ -161,6 +167,25 @@ def test_cost_columns_match_row_walks(instance):
         assert got == expected
         # Python ints, so the cost floats are computed as before.
         assert all(type(v) is int for v in got.values())
+
+
+def _calibration(calibrate, *args, **kwargs):
+    """The report, or the type and message of the error it ends in."""
+    try:
+        return calibrate(*args, **kwargs)
+    except (ConfigError, SchemaError) as exc:
+        return type(exc), str(exc)
+
+
+@SETTINGS
+@given(instances(), st.integers(1, 3), st.integers(0, 3), st.integers(0, 5))
+def test_calibration_matches_reference(instance, windows, seed, negative_cap):
+    dataset, _ = instance
+    args = dataset, windows
+    kwargs = {"seed": seed, "negative_cap": negative_cap}
+    assert _calibration(calibrate_thresholds, *args, **kwargs) == _calibration(
+        reference.calibrate_thresholds, *args, **kwargs
+    )
 
 
 def test_group_keys_renumber_before_overflow():
