@@ -19,6 +19,20 @@ from .errors import SchemaError
 VALUE_KINDS = ("text", "set", "number", "category", "dynamic")
 
 
+def as_int(value) -> int:
+    """``int(value)``, but a boolean or a fractional number raises ``ValueError``."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def as_float(value) -> float:
+    """``float(value)``, but a boolean raises ``ValueError``."""
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class AttributeSpec:
     """One candidate attribute: its value kind and matching tolerance.
@@ -137,7 +151,7 @@ def load_catalog(path: str | Path) -> AttributeCatalog:
             if required not in entry:
                 raise SchemaError(f"{path}: entry {i}: missing field {required!r}")
         try:
-            threshold = float(entry.get("match_threshold", 0.0))
+            threshold = as_float(entry.get("match_threshold", 0.0))
         except (TypeError, ValueError):
             raise SchemaError(
                 f"{path}: entry {i}: match_threshold must be a number"

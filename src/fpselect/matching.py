@@ -10,7 +10,6 @@ dynamic attributes must be identical.
 from __future__ import annotations
 
 import enum
-import functools
 import hashlib
 import math
 import random
@@ -47,24 +46,41 @@ def distance_kind_for(spec: AttributeSpec) -> DistanceKind:
 
 
 def edit_distance(x: str, y: str) -> int:
-    """Levenshtein distance (insertions, deletions, substitutions)."""
+    """Levenshtein distance (insertions, deletions, substitutions).
+
+    Myers' bit-vector algorithm in Hyyrö's Levenshtein form: bit i of
+    ``pv``/``mv`` says the table's column, down the shorter string, steps
+    +1/-1 at row i. One pass over the longer string updates the whole
+    column with a few int operations per character, and Python ints are
+    as wide as the shorter string, so long strings need no blocking.
+    """
     if x == y:
         return 0
     if len(x) < len(y):
         x, y = y, x
-    previous = list(range(len(y) + 1))
-    for i, cx in enumerate(x, start=1):
-        current = [i]
-        for j, cy in enumerate(y, start=1):
-            current.append(
-                min(
-                    previous[j] + 1,
-                    current[j - 1] + 1,
-                    previous[j - 1] + (cx != cy),
-                )
-            )
-        previous = current
-    return previous[-1]
+    if not y:
+        return len(x)
+    peq: dict[str, int] = {}
+    for i, c in enumerate(y):
+        peq[c] = peq.get(c, 0) | 1 << i
+    mask = (1 << len(y)) - 1
+    top = 1 << (len(y) - 1)
+    pv, mv, score = mask, 0, len(y)
+    for c in x:
+        eq = peq.get(c, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & top:
+            score += 1
+        elif mh & top:
+            score -= 1
+        # The carried-in 1: row 0 of the table steps +1 per character.
+        ph = (ph << 1) | 1
+        pv = ((mh << 1) | ~(xv | ph)) & mask
+        mv = ph & xv
+    return score
 
 
 def _tokens(value: str, separator: str) -> frozenset[str]:
@@ -283,16 +299,21 @@ def calibrate_thresholds(
 def _pair_distances(attr: AttributeSpec, values: Sequence[str]) -> Callable:
     """A function from two code arrays of ``attr`` to their values' distances.
 
-    It calls ``distance`` once per distinct ``(code, code)`` pair, in
-    first-seen order, so the first malformed value fails as without a memo.
+    Every distance is symmetric, so it calls ``distance`` once per distinct
+    unordered pair of codes. The calls come in first-seen order, with the
+    values in the drawn order, so the first malformed value fails as
+    without a memo.
     """
     kind = distance_kind_for(attr)
+    memo: dict[tuple[int, int], float] = {}
 
-    @functools.cache
     def pair(x: int, y: int) -> float:
-        try:
-            return distance(kind, values[x], values[y], attr.set_separator)
-        except ValueError as exc:
-            raise SchemaError(f"attribute {attr.name!r}: {exc}") from None
+        key = (x, y) if x <= y else (y, x)
+        if key not in memo:
+            try:
+                memo[key] = distance(kind, values[x], values[y], attr.set_separator)
+            except ValueError as exc:
+                raise SchemaError(f"attribute {attr.name!r}: {exc}") from None
+        return memo[key]
 
     return lambda xs, ys: list(map(pair, xs.tolist(), ys.tolist()))

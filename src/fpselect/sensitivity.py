@@ -18,7 +18,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .catalog import AttributeCatalog
+from .catalog import AttributeCatalog, as_float
 from .dataset import (
     CodedRows,
     Dataset,
@@ -128,7 +128,7 @@ def attacker_from_file(
                 or not isinstance(entry.get("values"), list)):
             raise SchemaError(f"{path}: entry {i} needs a 'values' array and 'p'")
         try:
-            p = float(entry["p"])
+            p = as_float(entry["p"])
         except (TypeError, ValueError):
             raise SchemaError(f"{path}: entry {i}: 'p' must be a number") from None
         entries.append((tuple(str(v) for v in entry["values"]), p))

@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .catalog import AttributeCatalog, AttributeSpec
-from .dataset import Dataset, Observation, as_int
+from .catalog import AttributeCatalog, AttributeSpec, as_int
+from .dataset import Dataset, Observation
 from .errors import ConfigError, SchemaError
 
 
@@ -62,6 +62,10 @@ class SynthAttribute:
             )
         if self.value_bytes < 1:
             raise ConfigError(f"attribute {self.name!r}: value_bytes must be >= 1")
+        if not isinstance(self.is_async, bool):
+            raise ConfigError(
+                f"attribute {self.name!r}: is_async must be true or false"
+            )
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,10 @@ fingerprint per call and hash the tuples. The row walks behind the cost
 columns, ``Dataset.attribute_byte_totals``,
 ``Dataset.attribute_change_counts`` and the consecutive-pair walk, read
 every ``Observation.values`` dict, as does ``calibrate_thresholds``, which
-also computes a distance for every pair it draws. Property tests pin the
-coded kernels to them, float for float and count for count.
+also computes a distance for every pair it draws. ``edit_distance`` is the
+Levenshtein table from before the bit-parallel kernel, and calibration's
+text distances go through it. Property tests pin the coded kernels to
+them, float for float and count for count.
 """
 
 from __future__ import annotations
@@ -32,12 +34,34 @@ from fpselect import (
 )
 from fpselect.dataset import utf8_size
 from fpselect.matching import (
+    DistanceKind,
     _derived_rng,
     distance,
     distance_kind_for,
     max_margin_threshold,
 )
 from fpselect.sensitivity import AttackerInstance, Dictionary, UserMapping
+
+
+def edit_distance(x: str, y: str) -> int:
+    """Levenshtein distance by the O(|x|·|y|) table, one row at a time."""
+    if x == y:
+        return 0
+    if len(x) < len(y):
+        x, y = y, x
+    previous = list(range(len(y) + 1))
+    for i, cx in enumerate(x, start=1):
+        current = [i]
+        for j, cy in enumerate(y, start=1):
+            current.append(
+                min(
+                    previous[j] + 1,
+                    current[j - 1] + 1,
+                    previous[j - 1] + (cx != cy),
+                )
+            )
+        previous = current
+    return previous[-1]
 
 
 def build_dictionary(attacker: AttackerInstance, attrs: Iterable[str]) -> Dictionary:
@@ -200,8 +224,11 @@ def calibrate_thresholds(
 
 
 def _value_distance(attr: AttributeSpec, x: str, y: str) -> float:
+    kind = distance_kind_for(attr)
+    if kind is DistanceKind.EDIT_DISTANCE:
+        return float(edit_distance(x, y))
     try:
-        return distance(distance_kind_for(attr), x, y, attr.set_separator)
+        return distance(kind, x, y, attr.set_separator)
     except ValueError as exc:
         raise SchemaError(f"attribute {attr.name!r}: {exc}") from None
 

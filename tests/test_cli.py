@@ -417,10 +417,14 @@ def _synth_config(tmp_path, browsers=24, observations_per_browser=2, **attribute
 MALFORMED = {
     "catalog-threshold": lambda t, d, c: _catalog_entry(
         t, d, c, match_threshold="x"),
+    "catalog-threshold-bool": lambda t, d, c: _catalog_entry(
+        t, d, c, kind="text", match_threshold=True),
     "catalog-async-string": lambda t, d, c: _catalog_entry(t, d, c, **{
         "async": "false"}),
     "pmf-probability": lambda t, d, c: _file_attacker(
         t, d, c, [{"values": ["True", "fr", "1080", "-1"], "p": "abc"}]),
+    "pmf-probability-bool": lambda t, d, c: _file_attacker(
+        t, d, c, [{"values": ["True", "fr", "1080", "-1"], "p": True}]),
     "pmf-entries-number": lambda t, d, c: _file_attacker(t, d, c, 5),
     "pmf-attributes-number": lambda t, d, c: _file_attacker(
         t, d, c, [{"values": ["True", "fr", "1080", "-1"], "p": 1.0}], attributes=5),
@@ -437,6 +441,7 @@ MALFORMED = {
         t, d, c, knowledge="file", pmf_path=5),
     "config-out-number": lambda t, d, c: _run_config(t, d, c, out=5),
     "config-alpha": lambda t, d, c: _run_config(t, d, c, alpha="x"),
+    "config-alpha-bool": lambda t, d, c: _run_config(t, d, c, alpha=True),
     "config-weights": lambda t, d, c: _run_config(t, d, c, weights=["a", 1, 1]),
     "synth-browsers": lambda t, d, c: _synth_config(t, browsers="x"),
     "synth-browsers-overflow": lambda t, d, c: _synth_config(t, browsers="HUGE"),
@@ -448,11 +453,14 @@ MALFORMED = {
     "synth-skew-underflow": lambda t, d, c: _synth_config(t, zipf_skew=2000),
     "synth-float-cardinality": lambda t, d, c: _synth_config(t, cardinality=2.5),
     "synth-float-value-bytes": lambda t, d, c: _synth_config(t, value_bytes=3.0),
+    "synth-async-string": lambda t, d, c: _synth_config(t, is_async="x"),
     "calibrate-text-number": lambda t, d, c: _number_calibration(t, "x"),
     "calibrate-nan": lambda t, d, c: _number_calibration(t, "nan"),
     "calibrate-inf": lambda t, d, c: _number_calibration(t, "inf"),
     "nan-collect-ms": lambda t, d, c: _first_row(
         t, d, c, collect_ms={"Screen": float("nan")}),
+    "bool-collect-ms": lambda t, d, c: _first_row(
+        t, d, c, collect_ms={"Screen": True}),
     "seq-overflow": lambda t, d, c: _first_row(t, d, c, seq="HUGE"),
     "seq-fraction": lambda t, d, c: _first_row(t, d, c, seq=0.5),
     "overflowing-cost": lambda t, d, c: [

@@ -30,6 +30,7 @@ from fpselect import (
     uniform_attacker,
 )
 from fpselect.dataset import encode_rows
+from fpselect.matching import edit_distance
 from fpselect.sensitivity import AttackerInstance, impersonated_mask
 
 # Values that numpy string arrays or a careless sort would confuse: a
@@ -186,6 +187,50 @@ def test_calibration_matches_reference(instance, windows, seed, negative_cap):
     assert _calibration(calibrate_thresholds, *args, **kwargs) == _calibration(
         reference.calibrate_thresholds, *args, **kwargs
     )
+
+
+# Characters from the three ranges a string can hold: ASCII, the rest of
+# the basic plane, and the astral planes.
+CHARACTERS = (
+    st.characters(max_codepoint=0x7F)
+    | st.characters(min_codepoint=0x80, max_codepoint=0xFFFF)
+    | st.characters(min_codepoint=0x10000)
+)
+
+
+@st.composite
+def text_pairs(draw):
+    """Two strings of 0 to 80 characters: past 64, a fixed-width bit-vector
+    kernel would need a second machine word.
+
+    A small alphabet makes matches common. The length is drawn first, as
+    ``st.text`` alone rarely draws long strings. The pair is independent,
+    equal, sharing a long prefix, one side empty, or very unequal in length.
+    """
+    alphabet = draw(st.lists(CHARACTERS, min_size=1, max_size=6, unique=True))
+
+    def text(low, high):
+        size = draw(st.integers(low, high))
+        return draw(st.text(alphabet=alphabet, min_size=size, max_size=size))
+
+    shape = draw(st.sampled_from(["independent", "equal", "prefix", "empty",
+                                  "unequal"]))
+    if shape == "prefix":
+        x = text(48, 80)
+        y = x[: draw(st.integers(len(x) - 8, len(x)))] + text(0, 8)
+    elif shape == "unequal":
+        x, y = text(56, 80), text(0, 4)
+    else:
+        x = text(0, 80)
+        y = {"independent": text(0, 80), "equal": x, "empty": ""}[shape]
+    return (y, x) if draw(st.booleans()) else (x, y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text_pairs())
+def test_edit_distance_matches_the_table(pair):
+    x, y = pair
+    assert edit_distance(x, y) == reference.edit_distance(x, y)
 
 
 def test_group_keys_renumber_before_overflow():

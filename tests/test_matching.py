@@ -23,7 +23,7 @@ from conftest import make_dataset, table1_catalog, table1_dataset
 
 
 def reference_edit_distance(x: str, y: str) -> int:
-    """Plain recursive Levenshtein, used as an oracle for the DP version."""
+    """Plain recursive Levenshtein, used as an oracle for the bit-parallel kernel."""
 
     @lru_cache(maxsize=None)
     def go(i: int, j: int) -> int:
