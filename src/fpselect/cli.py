@@ -357,7 +357,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     dataset = synthesize(config, args.seed)
     save_dataset(dataset, args.out)
     _progress(
-        f"wrote {len(dataset.observations)} observations"
+        f"wrote {len(dataset)} observations"
         f" for {len(dataset.browser_ids)} browsers to {args.out}"
     )
     if args.catalog_out:

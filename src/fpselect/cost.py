@@ -83,7 +83,7 @@ def mem_cost(attrs: Iterable[str], dataset: Dataset) -> float:
     """Average fingerprint size in UTF-8 bytes over the dataset."""
     canon = dataset.catalog.canonical(attrs)
     totals = dataset.attribute_byte_totals
-    return sum(totals[a] for a in canon) / len(dataset.observations)
+    return sum(totals[a] for a in canon) / len(dataset)
 
 
 def time_cost(attrs: Iterable[str], dataset: Dataset) -> float:
@@ -96,7 +96,7 @@ def time_cost(attrs: Iterable[str], dataset: Dataset) -> float:
     if not canon:
         return 0.0
     times = dataset.attribute_times
-    per_obs = np.zeros(len(dataset.observations))
+    per_obs = np.zeros(len(dataset))
     for a in canon:
         if not dataset.catalog.spec(a).is_async:
             per_obs += times[a]

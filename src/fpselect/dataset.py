@@ -1,18 +1,20 @@
 """Fingerprint datasets: loading, validation, projection, coding, distributions.
 
-Observations are grouped per browser and ordered by their sequence number.
-Each browser's first observation acts as its stored fingerprint, which
-yields the user mapping used by the sensitivity measure; all observations
-(including interleaved repeats) feed the cost measures.
+A dataset is held as integer code columns. The loader and
+``Dataset(catalog, observations)`` check each row and append it to those
+columns in one pass. Each browser's first row is its stored fingerprint,
+which the sensitivity measure reads; all rows (interleaved repeats
+included) feed the cost measures. ``observations`` and ``user_mapping``
+decode the columns on demand.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import Counter
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -124,93 +126,118 @@ class CodedRows:
             span *= size
         return keys
 
+    def decode(self) -> list[ValueTuple]:
+        """The value tuple each row stands for."""
+        values = [list(lookup) for lookup in self.lookup]  # in code order
+        return [tuple(map(list.__getitem__, values, r)) for r in self.matrix.tolist()]
+
 
 def encode_rows(rows: Sequence[Sequence[str]], width: int) -> CodedRows:
-    """Code every column of ``rows``, which all have ``width`` values.
-
-    Codebooks come from Python ``sorted``, not numpy string arrays, which
-    would drop trailing NUL characters and merge distinct values.
-    """
+    """Code every column of ``rows``, which all have ``width`` values."""
+    books: list[dict[str, int]] = [{} for _ in range(width)]
+    codes: list[int] = []
     for row in rows:
         if len(row) != width:
             raise ValueError(
                 f"value tuple has {len(row)} entries for {width} attributes"
             )
-    matrix = np.empty((len(rows), width), dtype=np.int64)
-    lookup = []
-    for j, column in enumerate(zip(*rows) if rows else [()] * width):
-        codes = {v: i for i, v in enumerate(sorted(set(column)))}
-        matrix[:, j] = np.fromiter(map(codes.__getitem__, column), np.int64,
-                                   len(column))
-        lookup.append(codes)
-    return CodedRows(tuple(lookup), matrix)
+        # setdefault with the codebook's size codes a value at first sight.
+        codes.extend(map(dict.setdefault, books, row, map(len, books)))
+    return _renumbered(books, codes, len(rows))
 
 
-@dataclass(frozen=True)
+def _renumbered(books: list[dict[str, int]], codes: list[int], count: int) -> CodedRows:
+    """``count`` rows of codes in first-seen order per column, recoded into
+    ``str`` order.
+
+    Codebooks come from Python ``sorted``, not numpy string arrays, which
+    would drop trailing NUL characters and merge distinct values.
+    """
+    matrix = np.array(codes, dtype=np.int64).reshape(count, len(books))
+    lookup = tuple({v: i for i, v in enumerate(sorted(book))} for book in books)
+    for j, (book, position) in enumerate(zip(books, lookup)):
+        # A book lists its values in the order of their first-seen codes.
+        rank = np.fromiter(map(position.__getitem__, book), np.int64, len(book))
+        matrix[:, j] = rank[matrix[:, j]]
+    return CodedRows(lookup, matrix)
+
+
 class Dataset:
-    """A validated collection of observations against a catalog."""
+    """A validated fingerprint table against a catalog, as code columns.
 
-    catalog: AttributeCatalog
-    observations: tuple[Observation, ...]
-    _group_index: dict[str, tuple[int, ...]] = field(
-        init=False, repr=False, compare=False
-    )
-    # Set by the loader, which has already checked each line.
-    _prevalidated: InitVar[bool] = False
+    ``codes`` holds every row's values in ``catalog`` order. ``browser_ids``
+    lists the browsers in order of first appearance, which is the order of
+    ``stored_codes`` and ``user_mapping``.
+    """
 
-    def __post_init__(self, _prevalidated: bool) -> None:
-        if not self.observations:
-            raise SchemaError("empty dataset")
-        names = set(self.catalog.names)
-        groups: dict[str, list[int]] = {}
-        last_seq: dict[str, int] = {}
-        for i, obs in enumerate(self.observations):
-            if not _prevalidated:
-                _validate_observation(obs, names, where=f"observation {i}")
-            prev = last_seq.get(obs.browser_id)
-            if prev is not None and obs.seq <= prev:
-                raise SchemaError(
-                    f"observation {i}: seq {obs.seq} for browser"
-                    f" {obs.browser_id!r} does not increase (previous {prev})"
-                )
-            last_seq[obs.browser_id] = obs.seq
-            groups.setdefault(obs.browser_id, []).append(i)
-        object.__setattr__(
-            self, "_group_index", {b: tuple(ix) for b, ix in groups.items()}
+    def __init__(
+        self, catalog: AttributeCatalog, observations: Iterable[Observation]
+    ) -> None:
+        rows = (
+            (f"observation {i}", obs.browser_id, obs.seq, obs.values, obs.collect_ms)
+            for i, obs in enumerate(observations)
         )
+        _fill(self, catalog, rows, "empty dataset")
 
-    # -- structure ---------------------------------------------------------
+    def __len__(self) -> int:
+        """The number of rows, one per observation."""
+        return len(self._seqs)
 
-    @property
-    def browser_ids(self) -> tuple[str, ...]:
-        return tuple(self._group_index)
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return (self.catalog, self.observations) == (other.catalog, other.observations)
 
-    def browser_observations(self, browser_id: str) -> tuple[Observation, ...]:
-        return tuple(self.observations[i] for i in self._group_index[browser_id])
+    # -- rows, decoded on demand -------------------------------------------
 
-    def value_tuple(self, obs: Observation) -> ValueTuple:
-        return tuple(obs.values[a] for a in self.catalog.names)
+    @cached_property
+    def observations(self) -> tuple[Observation, ...]:
+        """Every row as an ``Observation``, in file order."""
+        names, ids = self.catalog.names, self.browser_ids
+        rows = zip(self._ordinals.tolist(), self._seqs, self.codes.decode(),
+                   self._times.tolist())
+        return tuple(
+            Observation(ids[b], seq, dict(zip(names, values)),
+                        {a: t for a, t in zip(names, times) if not math.isnan(t)})
+            for b, seq, values, times in rows
+        )
 
     @cached_property
     def user_mapping(self) -> dict[str, ValueTuple]:
         """Stored fingerprint per user: the browser's first observation."""
-        return {
-            b: self.value_tuple(self.observations[ix[0]])
-            for b, ix in self._group_index.items()
-        }
+        return dict(zip(self.browser_ids, self.stored_codes.decode()))
 
-    @cached_property
-    def codes(self) -> CodedRows:
-        """Every observation's values as integer codes, in catalog order."""
-        return encode_rows(
-            [self.value_tuple(obs) for obs in self.observations], len(self.catalog)
-        )
+    def iter_consecutive_observations(
+        self,
+    ) -> Iterator[tuple[Observation, Observation]]:
+        for a, b in self._pairs.T.tolist():
+            yield self.observations[a], self.observations[b]
+
+    # -- structure ---------------------------------------------------------
 
     @cached_property
     def stored_codes(self) -> CodedRows:
-        """Code rows of the stored fingerprints, in ``user_mapping`` order."""
-        first = [ix[0] for ix in self._group_index.values()]
+        """Code rows of the stored fingerprints, in ``browser_ids`` order."""
+        _, first = np.unique(self._ordinals, return_index=True)
         return CodedRows(self.codes.lookup, self.codes.matrix[first])
+
+    @cached_property
+    def browser_rows(self) -> list[list[int]]:
+        """Each browser's row indices in file order, in ``browser_ids`` order."""
+        ends = np.cumsum(np.bincount(self._ordinals))[:-1]
+        order = np.argsort(self._ordinals, kind="stable")
+        return [rows.tolist() for rows in np.split(order, ends)]
+
+    @cached_property
+    def _pairs(self) -> np.ndarray:
+        """Rows: earlier and later observation index of every consecutive
+        same-browser pair, browser by browser."""
+        pairs = [p for ix in self.browser_rows for p in zip(ix, ix[1:])]
+        return np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+
+    @property
+    def consecutive_pair_count(self) -> int:
+        return self._pairs.shape[1]
 
     # -- cost support ------------------------------------------------------
 
@@ -227,11 +254,9 @@ class Dataset:
     @cached_property
     def attribute_times(self) -> dict[str, np.ndarray]:
         """Per-attribute collection times, one entry per observation."""
-        columns = {a: np.empty(len(self.observations)) for a in self.catalog.names}
-        for i, obs in enumerate(self.observations):
-            for a in self.catalog.names:
-                columns[a][i] = obs.collect_ms.get(a, 0.0)
-        return columns
+        times = self._times.T.copy()
+        times[np.isnan(times)] = 0.0
+        return dict(zip(self.catalog.names, times))
 
     @cached_property
     def attribute_change_counts(self) -> dict[str, int]:
@@ -241,42 +266,71 @@ class Dataset:
         changed = (matrix[earlier] != matrix[later]).sum(axis=0)
         return dict(zip(self.catalog.names, changed.tolist()))
 
-    @cached_property
-    def _pairs(self) -> np.ndarray:
-        """Rows: earlier and later observation index of every consecutive
-        same-browser pair, browser by browser."""
-        pairs = [p for ix in self._group_index.values() for p in zip(ix, ix[1:])]
-        return np.array(pairs, dtype=np.intp).reshape(-1, 2).T
 
-    @property
-    def consecutive_pair_count(self) -> int:
-        return self._pairs.shape[1]
+def _fill(
+    dataset: Dataset, catalog: AttributeCatalog, rows: Iterable[tuple], empty: str
+) -> Dataset:
+    """Check each ``(where, browser_id, seq, values, collect_ms)`` of ``rows``
+    and write them into ``dataset`` as code columns.
 
-    def iter_consecutive_observations(
-        self,
-    ) -> Iterator[tuple[Observation, Observation]]:
-        for a, b in self._pairs.T.tolist():
-            yield self.observations[a], self.observations[b]
-
-
-def _validate_observation(obs: Observation, names: set[str], where: str) -> None:
-    if obs.seq < 0:
-        raise SchemaError(f"{where}: seq must be non-negative")
-    got = set(obs.values)
-    for unknown in sorted(got - names):
-        raise SchemaError(f"{where}: unknown attribute {unknown!r}")
-    for missing in sorted(names - got):
-        raise SchemaError(f"{where}: missing value for attribute {missing!r}")
-    for a, v in obs.values.items():
-        if not isinstance(v, str):
+    A seq that does not increase is raised after every row's own checks.
+    """
+    names, known = catalog.names, set(catalog.names)
+    books: list[dict[str, int]] = [{} for _ in names]  # codes in first-seen order
+    codes: list[int] = []
+    times: list[float] = []
+    browsers: dict[str, int] = {}
+    ordinals: list[int] = []
+    seqs: list[int] = []  # Python ints: a JSON seq may not fit int64
+    last_seq: dict[str, int] = {}
+    fault = None
+    for where, browser_id, seq, values, collect_ms in rows:
+        if seq < 0:
+            raise SchemaError(f"{where}: seq must be non-negative")
+        if values.keys() != known:
+            for unknown in sorted(set(values) - known):
+                raise SchemaError(f"{where}: unknown attribute {unknown!r}")
+            for missing in sorted(known - set(values)):
+                raise SchemaError(f"{where}: missing value for attribute {missing!r}")
+        if not all(map(isinstance, values.values(), repeat(str))):
+            a = next(a for a, v in values.items() if not isinstance(v, str))
             raise SchemaError(f"{where}: value for {a!r} must be a string")
-    for a, t in obs.collect_ms.items():
-        if a not in names:
-            raise SchemaError(f"{where}: collect_ms for unknown attribute {a!r}")
-        if not isinstance(t, (int, float)) or not 0 <= t < math.inf:
-            raise SchemaError(
-                f"{where}: collect_ms for {a!r} must be finite and non-negative"
-            )
+        stamps = collect_ms.values()
+        # Most rows skip the loop that names the first bad time: a NaN or an
+        # infinity fails the sum, a negative time the minimum.
+        if not (collect_ms.keys() <= known and {*map(type, stamps)} <= {int, float}
+                and 0 <= min(stamps, default=0) and sum(stamps) < math.inf):
+            for a, t in collect_ms.items():
+                if a not in known:
+                    raise SchemaError(
+                        f"{where}: collect_ms for unknown attribute {a!r}"
+                    )
+                if not isinstance(t, (int, float)) or not 0 <= t < math.inf:
+                    raise SchemaError(
+                        f"{where}: collect_ms for {a!r} must be finite and non-negative"
+                    )
+        previous = last_seq.get(browser_id)
+        if fault is None and previous is not None and seq <= previous:
+            fault = (f"observation {len(seqs)}: seq {seq} for browser {browser_id!r}"
+                     f" does not increase (previous {previous})")
+        last_seq[browser_id] = seq
+        # setdefault with the codebook's size codes a value at first sight.
+        row = map(values.__getitem__, names)
+        codes.extend(map(dict.setdefault, books, row, map(len, books)))
+        # NaN marks an absent time, since validation lets no NaN through.
+        times.extend(map(collect_ms.get, names, repeat(math.nan)))
+        ordinals.append(browsers.setdefault(browser_id, len(browsers)))
+        seqs.append(seq)
+    if not seqs:
+        raise SchemaError(empty)
+    if fault is not None:
+        raise SchemaError(fault)
+    dataset.catalog, dataset.browser_ids = catalog, tuple(browsers)
+    dataset.codes = _renumbered(books, codes, len(seqs))
+    dataset._ordinals = np.array(ordinals, dtype=np.intp)
+    dataset._times = np.array(times, dtype=float).reshape(dataset.codes.matrix.shape)
+    dataset._seqs = seqs
+    return dataset
 
 
 def load_dataset(path: str | Path, catalog_path: str | Path) -> Dataset:
@@ -286,51 +340,48 @@ def load_dataset(path: str | Path, catalog_path: str | Path) -> Dataset:
 
 
 def load_observations(path: str | Path, catalog: AttributeCatalog) -> Dataset:
+    """Check each line of a JSON Lines dataset into code columns, in one pass."""
     path = Path(path)
-    names = set(catalog.names)
-    observations: list[Observation] = []
     with path.open(encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{where}: invalid JSON: {exc}") from exc
-            if not isinstance(row, dict):
-                raise SchemaError(f"{where}: row must be a JSON object")
-            for required in ("browser_id", "seq", "values"):
-                if required not in row:
-                    raise SchemaError(f"{where}: missing field {required!r}")
-            values = row["values"]
-            if not isinstance(values, dict):
-                raise SchemaError(f"{where}: 'values' must be an object")
-            collect = row.get("collect_ms", {})
-            if not isinstance(collect, dict):
-                raise SchemaError(f"{where}: 'collect_ms' must be an object")
-            try:
-                seq = as_int(row["seq"])
-                # Inlined rather than as_float per value, which made loading
-                # a 1,200-line dataset about 8% slower.
-                collect_ms = {
-                    a: float(t) for a, t in collect.items() if type(t) is not bool
-                }
-                if len(collect_ms) < len(collect):
+        # The lines go into the columns directly, not through __init__.
+        return _fill(Dataset.__new__(Dataset), catalog, _parse_lines(path, handle),
+                     f"{path}: empty dataset")
+
+
+def _parse_lines(path: Path, handle: Iterable[str]) -> Iterator[tuple]:
+    """Each non-blank line as a row for ``_fill``, after the checks that need
+    no catalog."""
+    for lineno, line in enumerate(handle, start=1):
+        if not line.strip():
+            continue
+        where = f"{path}:{lineno}"
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{where}: invalid JSON: {exc}") from exc
+        if not isinstance(row, dict):
+            raise SchemaError(f"{where}: row must be a JSON object")
+        for required in ("browser_id", "seq", "values"):
+            if required not in row:
+                raise SchemaError(f"{where}: missing field {required!r}")
+        values = row["values"]
+        if not isinstance(values, dict):
+            raise SchemaError(f"{where}: 'values' must be an object")
+        collect = row.get("collect_ms", {})
+        if not isinstance(collect, dict):
+            raise SchemaError(f"{where}: 'collect_ms' must be an object")
+        try:
+            seq = as_int(row["seq"])
+            # Inlined rather than as_float per value, which made loading
+            # a 1,200-line dataset about 8% slower. Floats need no conversion.
+            kinds = {*map(type, collect.values())}
+            if not kinds <= {float}:
+                collect = dict(zip(collect, map(float, collect.values())))
+                if bool in kinds:
                     raise ValueError("collect_ms must hold numbers, not booleans")
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise SchemaError(f"{where}: {exc}") from exc
-            obs = Observation(
-                browser_id=str(row["browser_id"]),
-                seq=seq,
-                values=dict(values),
-                collect_ms=collect_ms,
-            )
-            _validate_observation(obs, names, where)
-            observations.append(obs)
-    if not observations:
-        raise SchemaError(f"{path}: empty dataset")
-    return Dataset(catalog, tuple(observations), _prevalidated=True)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise SchemaError(f"{where}: {exc}") from exc
+        yield where, str(row["browser_id"]), seq, values, collect
 
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
@@ -351,25 +402,29 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
             )
 
 
+def coded_pmf(dataset: Dataset, attrs: Iterable[str]) -> tuple[Pmf, CodedRows]:
+    """``pmf`` and the code rows of its entries, in entry order."""
+    canon = dataset.catalog.canonical(attrs)
+    stored = dataset.stored_codes
+    cols = column_indices(dataset.catalog.names, canon)
+    # Keys sort like the value tuples, so the entries come out sorted.
+    _, first, counts = np.unique(
+        stored.group_keys(cols), return_index=True, return_counts=True
+    )
+    rows = CodedRows(
+        tuple(stored.lookup[c] for c in cols), stored.matrix[first][:, cols]
+    )
+    population = len(stored.matrix)
+    probabilities = (n / population for n in counts.tolist())
+    return Pmf(canon, tuple(zip(rows.decode(), probabilities))), rows
+
+
 def pmf(dataset: Dataset, attrs: Iterable[str]) -> Pmf:
     """Distribution of projected stored fingerprints across users."""
-    canon = dataset.catalog.canonical(attrs)
-    mapping = dataset.user_mapping
-    if not mapping:
-        raise SchemaError("empty user set")
-    counts = Counter(
-        project(fp, dataset.catalog.names, canon) for fp in mapping.values()
-    )
-    population = len(mapping)
-    entries = tuple(
-        (values, counts[values] / population) for values in sorted(counts)
-    )
-    return Pmf(canon, entries)
+    return coded_pmf(dataset, attrs)[0]
 
 
 def consecutive_pairs(dataset: Dataset) -> list[tuple[ValueTuple, ValueTuple]]:
     """Value-tuple pairs of consecutive observations of the same browser."""
-    return [
-        (dataset.value_tuple(earlier), dataset.value_tuple(later))
-        for earlier, later in dataset.iter_consecutive_observations()
-    ]
+    rows = dataset.codes.decode()
+    return [(rows[a], rows[b]) for a, b in dataset._pairs.T.tolist()]

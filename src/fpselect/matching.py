@@ -247,9 +247,9 @@ def calibrate_thresholds(
     if windows < 1:
         raise ConfigError("windows must be >= 1")
     catalog, coded = dataset.catalog, dataset.codes
-    # Each browser's observation indices, by browser ordinal. The pair index
-    # runs browser by browser: one with n observations owns the next n - 1.
-    members = list(dataset._group_index.values())
+    # The pair index runs browser by browser: one with n observations owns
+    # the next n - 1.
+    members = dataset.browser_rows
     window = np.repeat([b % windows for b in range(len(members))],
                        [len(ix) - 1 for ix in members])
     measures = [_pair_distances(attr, list(lookup))

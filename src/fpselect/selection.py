@@ -437,5 +437,5 @@ def evaluate(
     return Evaluation(
         breakdown=breakdown,
         sensitivity=int(np.count_nonzero(reached)) / len(reached),
-        impersonated=frozenset(itertools.compress(dataset.user_mapping, reached)),
+        impersonated=frozenset(itertools.compress(dataset.browser_ids, reached)),
     )

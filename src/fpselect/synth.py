@@ -46,10 +46,13 @@ class SynthAttribute:
         if not isinstance(self.name, str) or not self.name:
             raise ConfigError(f"attribute name {self.name!r} is not a non-empty string")
         for param in ("cardinality", "value_bytes"):
-            if not isinstance(getattr(self, param), int):
+            if type(getattr(self, param)) is not int:
                 raise ConfigError(
                     f"attribute {self.name!r}: {param} must be an integer"
                 )
+        for param in ("zipf_skew", "change_prob", "mean_collect_ms"):
+            if isinstance(getattr(self, param), bool):
+                raise ConfigError(f"attribute {self.name!r}: {param} must be a number")
         if self.copy_of is None and self.cardinality < 1:
             raise ConfigError(f"attribute {self.name!r}: cardinality must be >= 1")
         if self.zipf_skew < 0:

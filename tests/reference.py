@@ -9,17 +9,29 @@ columns, ``Dataset.attribute_byte_totals``,
 every ``Observation.values`` dict, as does ``calibrate_thresholds``, which
 also computes a distance for every pair it draws. ``edit_distance`` is the
 Levenshtein table from before the bit-parallel kernel, and calibration's
-text distances go through it. Property tests pin the coded kernels to
-them, float for float and count for count.
+text distances go through it.
+
+``load_observations`` is the row loader from before the loader wrote code
+columns: it checks each JSON line into an ``Observation`` and then checks
+that every browser's seqs increase. ``browser_groups``, ``user_mapping``,
+``codes``, ``attribute_times``, ``pairs`` and ``pmf`` are the views the
+``Dataset`` built from those rows, and ``pmf`` counts projected stored
+fingerprints with a ``Counter``. Property tests pin the coded kernels and
+the column loader to them, float for float, count for count and error
+message for error message.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import statistics
 from collections import Counter
-from typing import Iterable
+from pathlib import Path
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from fpselect import (
     AttributeCatalog,
@@ -28,11 +40,13 @@ from fpselect import (
     ConfigError,
     Dataset,
     Observation,
+    Pmf,
     SchemaError,
     fp_match,
     project,
 )
-from fpselect.dataset import utf8_size
+from fpselect.catalog import as_int
+from fpselect.dataset import CodedRows, ValueTuple, encode_rows, utf8_size
 from fpselect.matching import (
     DistanceKind,
     _derived_rng,
@@ -117,10 +131,152 @@ def impersonated_users(
     return reached
 
 
+def load_observations(path: str | Path, catalog: AttributeCatalog) -> tuple[Observation, ...]:
+    """Check every line of a JSON Lines dataset into an ``Observation``, then
+    check that each browser's seqs increase."""
+    path = Path(path)
+    names = set(catalog.names)
+    observations: list[Observation] = []
+    with path.open(encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            where = f"{path}:{lineno}"
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise SchemaError(f"{where}: invalid JSON: {exc}") from exc
+            if not isinstance(row, dict):
+                raise SchemaError(f"{where}: row must be a JSON object")
+            for required in ("browser_id", "seq", "values"):
+                if required not in row:
+                    raise SchemaError(f"{where}: missing field {required!r}")
+            values = row["values"]
+            if not isinstance(values, dict):
+                raise SchemaError(f"{where}: 'values' must be an object")
+            collect = row.get("collect_ms", {})
+            if not isinstance(collect, dict):
+                raise SchemaError(f"{where}: 'collect_ms' must be an object")
+            try:
+                seq = as_int(row["seq"])
+                collect_ms = {
+                    a: float(t) for a, t in collect.items() if type(t) is not bool
+                }
+                if len(collect_ms) < len(collect):
+                    raise ValueError("collect_ms must hold numbers, not booleans")
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise SchemaError(f"{where}: {exc}") from exc
+            obs = Observation(
+                browser_id=str(row["browser_id"]),
+                seq=seq,
+                values=dict(values),
+                collect_ms=collect_ms,
+            )
+            _validate_observation(obs, names, where)
+            observations.append(obs)
+    if not observations:
+        raise SchemaError(f"{path}: empty dataset")
+    browser_groups(observations)
+    return tuple(observations)
+
+
+def _validate_observation(obs: Observation, names: set[str], where: str) -> None:
+    if obs.seq < 0:
+        raise SchemaError(f"{where}: seq must be non-negative")
+    got = set(obs.values)
+    for unknown in sorted(got - names):
+        raise SchemaError(f"{where}: unknown attribute {unknown!r}")
+    for missing in sorted(names - got):
+        raise SchemaError(f"{where}: missing value for attribute {missing!r}")
+    for a, v in obs.values.items():
+        if not isinstance(v, str):
+            raise SchemaError(f"{where}: value for {a!r} must be a string")
+    for a, t in obs.collect_ms.items():
+        if a not in names:
+            raise SchemaError(f"{where}: collect_ms for unknown attribute {a!r}")
+        if not isinstance(t, (int, float)) or not 0 <= t < math.inf:
+            raise SchemaError(
+                f"{where}: collect_ms for {a!r} must be finite and non-negative"
+            )
+
+
+def browser_groups(observations: Sequence[Observation]) -> dict[str, list[int]]:
+    """Each browser's row indices, browsers in order of first appearance.
+
+    Raises on the first seq that does not increase within its browser.
+    """
+    groups: dict[str, list[int]] = {}
+    last_seq: dict[str, int] = {}
+    for i, obs in enumerate(observations):
+        prev = last_seq.get(obs.browser_id)
+        if prev is not None and obs.seq <= prev:
+            raise SchemaError(
+                f"observation {i}: seq {obs.seq} for browser"
+                f" {obs.browser_id!r} does not increase (previous {prev})"
+            )
+        last_seq[obs.browser_id] = obs.seq
+        groups.setdefault(obs.browser_id, []).append(i)
+    return groups
+
+
+def _value_tuple(catalog: AttributeCatalog, obs: Observation) -> ValueTuple:
+    return tuple(obs.values[a] for a in catalog.names)
+
+
+def user_mapping(
+    catalog: AttributeCatalog, observations: Sequence[Observation]
+) -> dict[str, ValueTuple]:
+    """Stored fingerprint per user: the browser's first observation."""
+    return {
+        b: _value_tuple(catalog, observations[ix[0]])
+        for b, ix in browser_groups(observations).items()
+    }
+
+
+def codes(catalog: AttributeCatalog, observations: Sequence[Observation]) -> CodedRows:
+    """Every observation's values as integer codes, in catalog order."""
+    return encode_rows(
+        [_value_tuple(catalog, obs) for obs in observations], len(catalog)
+    )
+
+
+def attribute_times(
+    catalog: AttributeCatalog, observations: Sequence[Observation]
+) -> dict[str, np.ndarray]:
+    """Per-attribute collection times, one entry per observation."""
+    columns = {a: np.empty(len(observations)) for a in catalog.names}
+    for i, obs in enumerate(observations):
+        for a in catalog.names:
+            columns[a][i] = obs.collect_ms.get(a, 0.0)
+    return columns
+
+
+def pairs(observations: Sequence[Observation]) -> np.ndarray:
+    """Rows: earlier and later index of every consecutive same-browser pair."""
+    found = [
+        p for ix in browser_groups(observations).values() for p in zip(ix, ix[1:])
+    ]
+    return np.array(found, dtype=np.intp).reshape(-1, 2).T
+
+
+def pmf(
+    catalog: AttributeCatalog, observations: Sequence[Observation], attrs: Iterable[str]
+) -> Pmf:
+    """Distribution of projected stored fingerprints across users."""
+    canon = catalog.canonical(attrs)
+    mapping = user_mapping(catalog, observations)
+    counts = Counter(project(fp, catalog.names, canon) for fp in mapping.values())
+    population = len(mapping)
+    entries = tuple(
+        (values, counts[values] / population) for values in sorted(counts)
+    )
+    return Pmf(canon, entries)
+
+
 def joint_entropy_bits(dataset: Dataset, attrs: Iterable[str]) -> float:
     """Shannon entropy of the projected stored fingerprints, in bits."""
     canon = dataset.catalog.canonical(attrs)
-    mapping = dataset.user_mapping
+    mapping = user_mapping(dataset.catalog, dataset.observations)
     counts = Counter(
         project(fp, dataset.catalog.names, canon) for fp in mapping.values()
     )
@@ -132,11 +288,8 @@ def joint_entropy_bits(dataset: Dataset, attrs: Iterable[str]) -> float:
 
 def consecutive_observations(dataset: Dataset) -> list[tuple[Observation, Observation]]:
     """Consecutive observations of the same browser, browser by browser."""
-    pairs = []
-    for browser in dataset.browser_ids:
-        obs = dataset.browser_observations(browser)
-        pairs.extend(zip(obs, obs[1:]))
-    return pairs
+    observations = dataset.observations
+    return [(observations[a], observations[b]) for a, b in pairs(observations).T]
 
 
 def attribute_byte_totals(dataset: Dataset) -> dict[str, int]:
@@ -160,7 +313,7 @@ def attribute_change_counts(dataset: Dataset) -> dict[str, int]:
 
 def _window_split(dataset: Dataset, windows: int) -> list[list[str]]:
     groups: list[list[str]] = [[] for _ in range(windows)]
-    for i, browser in enumerate(dataset.browser_ids):
+    for i, browser in enumerate(browser_groups(dataset.observations)):
         groups[i % windows].append(browser)
     return groups
 
@@ -240,10 +393,12 @@ def _negative_distances(
     count: int,
     rng: random.Random,
 ) -> list[float]:
+    observations = dataset.observations
+    groups = browser_groups(observations)
     out: list[float] = []
     for _ in range(count):
         first, second = rng.sample(browsers, 2)
-        x = rng.choice(dataset.browser_observations(first)).values[attr.name]
-        y = rng.choice(dataset.browser_observations(second)).values[attr.name]
+        x = observations[rng.choice(groups[first])].values[attr.name]
+        y = observations[rng.choice(groups[second])].values[attr.name]
         out.append(_value_distance(attr, x, y))
     return out

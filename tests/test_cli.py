@@ -454,6 +454,12 @@ MALFORMED = {
     "synth-float-cardinality": lambda t, d, c: _synth_config(t, cardinality=2.5),
     "synth-float-value-bytes": lambda t, d, c: _synth_config(t, value_bytes=3.0),
     "synth-async-string": lambda t, d, c: _synth_config(t, is_async="x"),
+    "synth-cardinality-bool": lambda t, d, c: _synth_config(t, cardinality=True),
+    "synth-value-bytes-bool": lambda t, d, c: _synth_config(t, value_bytes=True),
+    "synth-change-prob-bool": lambda t, d, c: _synth_config(t, change_prob=True),
+    "synth-skew-bool": lambda t, d, c: _synth_config(t, zipf_skew=True),
+    "synth-collect-ms-bool": lambda t, d, c: _synth_config(
+        t, mean_collect_ms=True),
     "calibrate-text-number": lambda t, d, c: _number_calibration(t, "x"),
     "calibrate-nan": lambda t, d, c: _number_calibration(t, "nan"),
     "calibrate-inf": lambda t, d, c: _number_calibration(t, "inf"),

@@ -10,21 +10,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fpselect.dataset
 from fpselect import (
     AttributeCatalog,
     AttributeSpec,
     ConfigError,
+    CostWeights,
     Dataset,
     Observation,
     Pmf,
     SchemaError,
+    SelectionConfig,
     SynthAttribute,
     SynthConfig,
+    attribute_cost_stats,
+    calibrate_thresholds,
     consecutive_pairs,
+    evaluate,
     load_dataset,
     pmf,
+    population_attacker,
     project,
+    select_cond_entropy_baseline,
+    select_entropy_baseline,
+    select_exhaustive,
+    select_greedy,
     synthesize,
+    uniform_attacker,
 )
 
 from conftest import TABLE1_ATTRS, TABLE1_ROWS, make_dataset, write_table1_files
@@ -86,6 +98,42 @@ class TestLoading:
         )
         with pytest.raises(SchemaError, match=":1"):
             load_dataset(dataset_path, catalog_path)
+
+    def test_row_checks_come_before_the_seq_order_check(self, tmp_path):
+        dataset_path, catalog_path = write_table1_files(tmp_path)
+        values = dict(zip(TABLE1_ATTRS, TABLE1_ROWS["u1"]))
+        rows = [
+            {"browser_id": "u1", "seq": 1, "values": values},
+            {"browser_id": "u1", "seq": 0, "values": values},
+            {"browser_id": "u2", "seq": 0, "values": {**values, "Foo": "1"}},
+        ]
+        dataset_path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        with pytest.raises(SchemaError, match=":3: unknown attribute 'Foo'"):
+            load_dataset(dataset_path, catalog_path)
+        del rows[2]
+        dataset_path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        with pytest.raises(SchemaError, match="^observation 1: seq 0 for browser"):
+            load_dataset(dataset_path, catalog_path)
+
+    def test_analysis_path_builds_no_observation_rows(self, tmp_path, monkeypatch):
+        dataset_path, catalog_path = write_table1_files(tmp_path, repeats=2)
+        ds = load_dataset(dataset_path, catalog_path)
+
+        def no_rows(*args, **kwargs):
+            raise AssertionError("an Observation row was built")
+
+        monkeypatch.setattr(fpselect.dataset, "Observation", no_rows)
+        config = SelectionConfig(alpha=0.4, k=2)
+        for attacker in (population_attacker(ds, 2), uniform_attacker(ds, 2)):
+            select_greedy(ds, attacker, config)
+            select_entropy_baseline(ds, attacker, config)
+            select_cond_entropy_baseline(ds, attacker, config)
+            select_exhaustive(ds, attacker, config)
+            evaluate(("Language", "Screen"), ds, attacker, CostWeights())
+        attribute_cost_stats(ds, CostWeights())
+        calibrate_thresholds(ds, 2)
+        assert "observations" not in vars(ds)
+        assert "user_mapping" not in vars(ds)
 
     def test_error_names_offending_line(self, tmp_path):
         dataset_path, catalog_path = write_table1_files(tmp_path)

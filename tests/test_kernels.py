@@ -3,11 +3,15 @@
 Every comparison is exact: the coded kernels add the same floats in the
 same order, so dictionaries, probabilities, user sets and entropies must
 agree bit for bit, ties included, and the cost columns count for count.
+The column loader must give the row loader's views, or its error message.
 """
 
 from __future__ import annotations
 
+import copy
 import random
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -26,12 +30,15 @@ from fpselect import (
     calibrate_thresholds,
     impersonated_users,
     joint_entropy_bits,
+    pmf,
     population_attacker,
     uniform_attacker,
 )
-from fpselect.dataset import encode_rows
+from fpselect.dataset import encode_rows, load_observations
 from fpselect.matching import edit_distance
 from fpselect.sensitivity import AttackerInstance, impersonated_mask
+
+from test_cli import FUZZ_VALUES, _huge, _paths
 
 # Values that numpy string arrays or a careless sort would confuse: a
 # trailing NUL, non-ASCII text, case, the empty string.
@@ -168,6 +175,87 @@ def test_cost_columns_match_row_walks(instance):
         assert got == expected
         # Python ints, so the cost floats are computed as before.
         assert all(type(v) is int for v in got.values())
+
+
+@st.composite
+def dataset_lines(draw, dataset):
+    """JSON lines of ``dataset`` with blank lines, times for some attributes,
+    seqs past 2**63 or not, and at most one field of one line mutated: set
+    to a fuzz value, deleted, a value renamed to another attribute, the seq
+    redrawn, or the line cut short."""
+    names = dataset.catalog.names
+    offset = draw(st.sampled_from([0, 2**63 + 1]))
+    rows = []
+    for obs in dataset.observations:
+        row = {"browser_id": obs.browser_id, "seq": obs.seq + offset,
+               "values": dict(obs.values)}
+        times = draw(st.dictionaries(st.sampled_from(names),
+                                     st.sampled_from([0, 0.0, 2, 2.5, 1e-9])))
+        if times or draw(st.booleans()):
+            row["collect_ms"] = times
+        rows.append(row)
+    mutation = draw(st.sampled_from(["none", "set", "delete", "rename", "seq",
+                                     "cut"]))
+    line = draw(st.integers(0, len(rows) - 1))
+    if mutation in ("set", "delete"):
+        path = draw(st.sampled_from(list(_paths(rows[line]))))
+        target = rows[line]
+        for key in path[:-1]:
+            target = target[key]
+        if mutation == "set":
+            target[path[-1]] = copy.deepcopy(draw(st.sampled_from(FUZZ_VALUES)))
+        else:
+            del target[path[-1]]
+    elif mutation == "rename":
+        values = rows[line]["values"]
+        name = draw(st.sampled_from(sorted(values)))
+        values[draw(st.sampled_from([*names, "zz", ""]))] = values.pop(name)
+    elif mutation == "seq":
+        rows[line]["seq"] = offset + draw(st.integers(0, 2))
+    lines = [_huge(row) for row in rows]
+    if mutation == "cut":
+        lines[line] = lines[line][: draw(st.integers(0, len(lines[line]) - 1))]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["", "  ", "\t"])))
+    return "\n".join(lines) + "\n"
+
+
+def _loaded(load, path, catalog):
+    try:
+        return load(path, catalog)
+    except SchemaError as exc:
+        return str(exc)
+
+
+@SETTINGS
+@given(instances(), st.data())
+def test_loader_matches_the_row_reference(instance, data):
+    dataset, _ = instance
+    catalog = dataset.catalog
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "dataset.jsonl"
+        path.write_text(data.draw(dataset_lines(dataset)), encoding="utf-8")
+        got = _loaded(load_observations, path, catalog)
+        rows = _loaded(reference.load_observations, path, catalog)
+    if isinstance(rows, str) or isinstance(got, str):
+        assert got == rows
+        return
+    assert got.observations == rows
+    assert list(got.user_mapping.items()) == list(
+        reference.user_mapping(catalog, rows).items()
+    )
+    codes = reference.codes(catalog, rows)
+    assert [list(b.items()) for b in got.codes.lookup] == [
+        list(b.items()) for b in codes.lookup
+    ]
+    assert np.array_equal(got.codes.matrix, codes.matrix)
+    times = reference.attribute_times(catalog, rows)
+    assert got.attribute_times.keys() == times.keys()
+    assert all(np.array_equal(got.attribute_times[a], times[a]) for a in times)
+    assert np.array_equal(got._pairs, reference.pairs(rows))
+    attrs = data.draw(subsets(catalog.names))
+    assert pmf(got, attrs).entries == reference.pmf(catalog, rows, attrs).entries
 
 
 def _calibration(calibrate, *args, **kwargs):
