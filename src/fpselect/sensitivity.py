@@ -24,9 +24,9 @@ from .dataset import (
     Dataset,
     Pmf,
     ValueTuple,
-    coded_pmf,
     column_indices,
     encode_rows,
+    pmf,
 )
 from .errors import ConfigError, SchemaError
 from .matching import attr_match
@@ -48,15 +48,11 @@ class AttackerInstance:
             raise ConfigError("submission budget beta must be >= 1")
 
     @cached_property
-    def coded(self) -> CodedRows:
-        """The PMF's value tuples as integer codes."""
-        return encode_rows([v for v, _ in self.pmf.entries], len(self.pmf.attrs))
-
-    @cached_property
-    def probabilities(self) -> np.ndarray:
-        """The PMF's probabilities, in entry order."""
+    def coded(self) -> tuple[CodedRows, np.ndarray]:
+        """The PMF's value tuples as integer codes, and its probabilities."""
         entries = self.pmf.entries
-        return np.fromiter((p for _, p in entries), float, len(entries))
+        probabilities = np.fromiter((p for _, p in entries), float, len(entries))
+        return encode_rows([v for v, _ in entries], len(self.pmf.attrs)), probabilities
 
 
 @dataclass(frozen=True)
@@ -74,10 +70,9 @@ class Dictionary:
 
 def population_attacker(dataset: Dataset, beta: int) -> AttackerInstance:
     """The strongest modeled attacker: knows the defended population's PMF."""
-    distribution, rows = coded_pmf(dataset, dataset.catalog.names)
-    attacker = AttackerInstance(pmf=distribution, beta=beta, knowledge="population")
-    vars(attacker)["coded"] = rows  # coded by the dataset already
-    return attacker
+    return AttackerInstance(
+        pmf=pmf(dataset, dataset.catalog.names), beta=beta, knowledge="population"
+    )
 
 
 def uniform_attacker(
@@ -90,12 +85,10 @@ def uniform_attacker(
     accidental blow-ups.
     """
     names = dataset.catalog.names
-    stored = dataset.stored_codes
     domains: list[list[str]] = []
     size = 1
-    for j, lookup in enumerate(stored.lookup):
-        values = list(lookup)  # codebooks are in code order, which is str order
-        seen = [values[c] for c in np.unique(stored.matrix[:, j]).tolist()]
+    for column in zip(*dataset.stored_codes.decode()):
+        seen = sorted(set(column))
         domains.append(seen)
         size *= len(seen)
         if size > max_support:
@@ -153,13 +146,14 @@ def build_dictionary(attacker: AttackerInstance, attrs: Iterable[str]) -> Dictio
             f"attribute {sorted(missing)[0]!r} is outside the attacker's knowledge"
         )
     cols = column_indices(attacker.pmf.attrs, target)
+    coded, probabilities = attacker.coded
     _, first, groups = np.unique(
-        attacker.coded.group_keys(cols), return_index=True, return_inverse=True
+        coded.group_keys(cols), return_index=True, return_inverse=True
     )
     # bincount adds each group's mass in PMF-row order, the floats a running
     # sum gives. Group ids follow value order, so the stable sort breaks
     # probability ties on the value tuple.
-    mass = np.bincount(groups, weights=attacker.probabilities)
+    mass = np.bincount(groups, weights=probabilities)
     top = np.argsort(-mass, kind="stable")[: attacker.beta]
     entries = attacker.pmf.entries
     return Dictionary(
