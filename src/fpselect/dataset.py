@@ -357,6 +357,8 @@ def _parse_lines(path: Path, handle: Iterable[str]) -> Iterator[tuple]:
         for required in ("browser_id", "seq", "values"):
             if required not in row:
                 raise SchemaError(f"{where}: missing field {required!r}")
+        if not isinstance(row["browser_id"], str):
+            raise SchemaError(f"{where}: 'browser_id' must be a string")
         values = row["values"]
         if not isinstance(values, dict):
             raise SchemaError(f"{where}: 'values' must be an object")
@@ -374,7 +376,7 @@ def _parse_lines(path: Path, handle: Iterable[str]) -> Iterator[tuple]:
                 raise ValueError("collect_ms must hold numbers, not booleans")
         except (TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"{where}: {exc}") from exc
-        yield where, str(row["browser_id"]), seq, values, collect_ms
+        yield where, row["browser_id"], seq, values, collect_ms
 
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:

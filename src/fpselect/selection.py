@@ -20,12 +20,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .cost import CostBreakdown, CostWeights, total_cost
-from .dataset import Dataset, column_indices
+from .dataset import Dataset, column_indices, pmf
 from .errors import ConfigError
 from .sensitivity import AttackerInstance, impersonated_mask
 from .sensitivity import sensitivity  # noqa: F401  (bench/tracer.py wraps it here)
@@ -240,12 +241,30 @@ class Evaluator:
         hit = self._cache.get(key)
         if hit is None:
             breakdown = total_cost(key, self.dataset, self.weights)
-            reached = impersonated_mask(key, self.attacker, self.dataset)
-            hit = self._cache[key] = (
-                breakdown,
-                int(np.count_nonzero(reached)) / len(reached),
-            )
+            hit = self._cache[key] = (breakdown, self._sensitivity(key))
         return hit
+
+    def _sensitivity(self, key: AttrSet) -> float:
+        catalog = self.dataset.catalog
+        if self._own_population and all(catalog.spec(a).matches_exactly for a in key):
+            # Each submission is one stored group's projection and reaches that
+            # group alone, so the reach is the sum of the beta largest group
+            # counts. A tie at the boundary changes who is reached, not how
+            # many, and float masses never reorder groups of unequal counts.
+            cols = column_indices(catalog.names, key)
+            keys = self.dataset.stored_codes.group_keys(cols)
+            counts = np.unique(keys, return_counts=True)[1]
+            beta = min(self.attacker.beta, len(counts))
+            return int(np.partition(counts, -beta)[-beta:].sum()) / len(keys)
+        reached = impersonated_mask(key, self.attacker, self.dataset)
+        return int(np.count_nonzero(reached)) / len(reached)
+
+    @cached_property
+    def _own_population(self) -> bool:
+        """Whether the attacker knows exactly this dataset's population PMF."""
+        return self.attacker.knowledge == "population" and self.attacker.pmf == pmf(
+            self.dataset, self.dataset.catalog.names
+        )
 
     def totals(self, attrs: AttrSet) -> tuple[float, float]:
         breakdown, sens = self.evaluate(attrs)

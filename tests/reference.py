@@ -151,6 +151,8 @@ def load_observations(path: str | Path, catalog: AttributeCatalog) -> tuple[Obse
             for required in ("browser_id", "seq", "values"):
                 if required not in row:
                     raise SchemaError(f"{where}: missing field {required!r}")
+            if not isinstance(row["browser_id"], str):
+                raise SchemaError(f"{where}: 'browser_id' must be a string")
             values = row["values"]
             if not isinstance(values, dict):
                 raise SchemaError(f"{where}: 'values' must be an object")
@@ -167,7 +169,7 @@ def load_observations(path: str | Path, catalog: AttributeCatalog) -> tuple[Obse
             except (TypeError, ValueError, OverflowError) as exc:
                 raise SchemaError(f"{where}: {exc}") from exc
             obs = Observation(
-                browser_id=str(row["browser_id"]),
+                browser_id=row["browser_id"],
                 seq=seq,
                 values=dict(values),
                 collect_ms=collect_ms,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import importlib
 import io
 import json
 import os
@@ -467,6 +468,8 @@ MALFORMED = {
         t, d, c, collect_ms={"Screen": float("nan")}),
     "bool-collect-ms": lambda t, d, c: _first_row(
         t, d, c, collect_ms={"Screen": True}),
+    "browser-id-null": lambda t, d, c: _first_row(t, d, c, browser_id=None),
+    "browser-id-number": lambda t, d, c: _first_row(t, d, c, browser_id=1),
     "seq-overflow": lambda t, d, c: _first_row(t, d, c, seq="HUGE"),
     "seq-fraction": lambda t, d, c: _first_row(t, d, c, seq=0.5),
     "overflowing-cost": lambda t, d, c: [
@@ -487,6 +490,32 @@ def test_malformed_input_is_one_line_and_exit_3_or_4(tmp_path, capsys, case):
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
     assert not (tmp_path / "out.json").exists()
+
+
+def test_search_commands_count_exact_population_reach(tmp_path, monkeypatch):
+    """On an all-exact catalog against the population attacker, the searches
+    count the top-beta groups and build no dictionary; evaluate, which lists
+    the impersonated users, still builds one."""
+    dataset, catalog = write_table1_files(tmp_path, repeats=2)
+    # The package's ``sensitivity`` is the function, so fetch the module itself.
+    module = importlib.import_module("fpselect.sensitivity")
+    built = []
+    original = module.build_dictionary
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, "build_dictionary", counted)
+    inputs = ["--dataset", str(dataset), "--catalog", str(catalog), "--alpha", "0.4",
+              "--beta", "2", "--knowledge", "population",
+              "--out", str(tmp_path / "out.json")]
+    for command in (["select", "--k", "2"], ["baseline", "--method", "entropy"],
+                    ["baseline", "--method", "cond-entropy"], ["oracle"]):
+        assert main([*command, *inputs]) == EXIT_OK
+    assert built == []
+    assert main(["evaluate", "--attrs", "Language,Screen", *inputs]) == EXIT_OK
+    assert built
 
 
 @pytest.mark.parametrize("fields, warned", [

@@ -3,6 +3,8 @@
 Every comparison is exact: the coded kernels add the same floats in the
 same order, so dictionaries, probabilities, user sets and entropies must
 agree bit for bit, ties included, and the cost columns count for count.
+The search's sensitivity, a group count or a dictionary's reach, must be
+the reference's impersonated share of users, bit for bit.
 The column loader must give the row loader's views, or its error message.
 """
 
@@ -11,6 +13,7 @@ from __future__ import annotations
 import copy
 import random
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +25,7 @@ from fpselect import (
     AttributeCatalog,
     AttributeSpec,
     ConfigError,
+    CostWeights,
     Dataset,
     Observation,
     Pmf,
@@ -32,10 +36,12 @@ from fpselect import (
     joint_entropy_bits,
     pmf,
     population_attacker,
+    project,
     uniform_attacker,
 )
 from fpselect.dataset import encode_rows, load_observations
 from fpselect.matching import edit_distance
+from fpselect.selection import Evaluator
 from fpselect.sensitivity import AttackerInstance, impersonated_mask
 
 from test_cli import FUZZ_VALUES, _huge, _paths
@@ -148,6 +154,67 @@ def test_impersonated_users_match_reference(instance, data):
     ) == expected
     mask = impersonated_mask(attrs, attacker, dataset)
     assert {u for u, hit in zip(dataset.user_mapping, mask) if hit} == expected
+
+
+@SETTINGS
+@given(instances(), st.data())
+def test_evaluator_sensitivity_matches_reference(instance, data):
+    """The search's sensitivity is the reference reach, bit for bit, for
+    every budget up to one past the number of groups. Against the dataset's
+    own population attacker, exact sets take the count path; the instance's
+    attacker, whose population PMF predates the added users, does not."""
+    dataset, attacker = instance
+    catalog, names = dataset.catalog, dataset.catalog.names
+    # Where some exact attributes vary across users, half the draws keep to
+    # them: such sets take the count path and split the users into groups.
+    stored = list(dataset.user_mapping.values())
+    varying = [a for a, column in zip(names, zip(*stored))
+               if catalog.spec(a).matches_exactly and len(set(column)) > 1]
+    if varying and data.draw(st.booleans()):
+        attrs = data.draw(st.lists(st.sampled_from(varying), min_size=1, max_size=4))
+    else:
+        attrs = data.draw(subsets(names))
+    # New users that repeat stored rows, with two rows each so the cost
+    # measures have a consecutive pair: a copy of the first user, then, half
+    # the time, copies of a user in the (b+1)-th largest group until that
+    # group ties the b-th. Repeated rows make such ties at a budget common.
+    copies = [stored[0]]
+    ranked = Counter(project(v, names, attrs) for v in stored + copies).most_common()
+    if len(ranked) > 1 and data.draw(st.booleans()):
+        b = data.draw(st.integers(1, len(ranked) - 1))
+        (_, inside), (outside, count) = ranked[b - 1], ranked[b]
+        copies += [next(v for v in stored if project(v, names, attrs) == outside)] * (
+            inside - count)
+    dataset = Dataset(catalog, (*dataset.observations, *(
+        Observation(f"c{i}", seq, dict(zip(names, values)), {})
+        for i, values in enumerate(copies) for seq in (0, 1)
+    )))
+    mapping = dataset.user_mapping
+    for beta in range(1, len(ranked) + 2):
+        for knows in (population_attacker(dataset, beta),
+                      AttackerInstance(attacker.pmf, beta, attacker.knowledge)):
+            expected = reference.impersonated_users(attrs, knows, mapping, catalog)
+            evaluator = Evaluator(dataset, knows, CostWeights())
+            assert evaluator.evaluate(attrs)[1] == len(expected) / len(mapping)
+
+
+def test_a_foreign_population_attacker_is_not_counted():
+    # The same catalog, other users: this dataset's top group holds 3 of 4
+    # users, but the foreign attacker's one guess, "c", reaches none of them.
+    catalog = AttributeCatalog((AttributeSpec("x", "category"),))
+
+    def users(values):
+        return Dataset(catalog, tuple(
+            Observation(f"u{i}", seq, {"x": v}, {})
+            for i, v in enumerate(values) for seq in (0, 1)
+        ))
+
+    dataset, attacker = users("aaab"), population_attacker(users("bccc"), 1)
+    assert attacker.knowledge == "population"
+    assert reference.impersonated_users(
+        ("x",), attacker, dataset.user_mapping, catalog
+    ) == set()
+    assert Evaluator(dataset, attacker, CostWeights()).evaluate(("x",))[1] == 0.0
 
 
 @SETTINGS
