@@ -222,6 +222,11 @@ class Dataset:
         return CodedRows(self.codes.lookup, self.codes.matrix[first])
 
     @cached_property
+    def population_pmf(self) -> Pmf:
+        """The stored fingerprints' PMF on the whole catalog, built once."""
+        return pmf(self, self.catalog.names)
+
+    @cached_property
     def browser_rows(self) -> list[list[int]]:
         """Each browser's row indices in file order, in ``browser_ids`` order."""
         ends = np.cumsum(np.bincount(self._ordinals))[:-1]

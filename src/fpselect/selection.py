@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .cost import CostBreakdown, CostWeights, total_cost
-from .dataset import Dataset, column_indices, pmf
+from .dataset import Dataset, column_indices
 from .errors import ConfigError
 from .sensitivity import AttackerInstance, impersonated_mask
 from .sensitivity import sensitivity  # noqa: F401  (bench/tracer.py wraps it here)
@@ -262,9 +262,9 @@ class Evaluator:
     @cached_property
     def _own_population(self) -> bool:
         """Whether the attacker knows exactly this dataset's population PMF."""
-        return self.attacker.knowledge == "population" and self.attacker.pmf == pmf(
-            self.dataset, self.dataset.catalog.names
-        )
+        # population_attacker hands out this very PMF, so no PMF is built here.
+        return (self.attacker.knowledge == "population"
+                and self.attacker.pmf == self.dataset.population_pmf)
 
     def totals(self, attrs: AttrSet) -> tuple[float, float]:
         breakdown, sens = self.evaluate(attrs)

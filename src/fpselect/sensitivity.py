@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -26,7 +27,6 @@ from .dataset import (
     ValueTuple,
     column_indices,
     encode_rows,
-    pmf,
 )
 from .errors import ConfigError, SchemaError
 from .matching import attr_match
@@ -54,6 +54,16 @@ class AttackerInstance:
         probabilities = np.fromiter((p for _, p in entries), float, len(entries))
         return encode_rows([v for v, _ in entries], len(self.pmf.attrs)), probabilities
 
+    @cached_property
+    def product_domains(self) -> list[list[str]] | None:
+        """Each column's sorted values if the PMF is uniform over their whole
+        product (``Pmf`` refuses duplicates, so a count suffices), else None."""
+        entries = self.pmf.entries
+        if any(p != entries[0][1] for _, p in entries):
+            return None
+        domains = [sorted(set(column)) for column in zip(*(v for v, _ in entries))]
+        return domains if math.prod(map(len, domains)) == len(entries) else None
+
 
 @dataclass(frozen=True)
 class Dictionary:
@@ -70,9 +80,7 @@ class Dictionary:
 
 def population_attacker(dataset: Dataset, beta: int) -> AttackerInstance:
     """The strongest modeled attacker: knows the defended population's PMF."""
-    return AttackerInstance(
-        pmf=pmf(dataset, dataset.catalog.names), beta=beta, knowledge="population"
-    )
+    return AttackerInstance(dataset.population_pmf, beta, knowledge="population")
 
 
 def uniform_attacker(
@@ -85,16 +93,12 @@ def uniform_attacker(
     accidental blow-ups.
     """
     names = dataset.catalog.names
-    domains: list[list[str]] = []
-    size = 1
-    for column in zip(*dataset.stored_codes.decode()):
-        seen = sorted(set(column))
-        domains.append(seen)
-        size *= len(seen)
-        if size > max_support:
-            raise ConfigError(
-                f"uniform attacker support exceeds {max_support} fingerprints"
-            )
+    domains = [sorted(set(column)) for column in zip(*dataset.stored_codes.decode())]
+    size = math.prod(map(len, domains))
+    if size > max_support:
+        raise ConfigError(
+            f"uniform attacker support exceeds {max_support} fingerprints"
+        )
     weight = 1.0 / size
     entries = tuple(
         (combo, weight) for combo in itertools.product(*domains)
@@ -131,14 +135,20 @@ def attacker_from_file(
             p = as_float(entry["p"])
         except (TypeError, ValueError):
             raise SchemaError(f"{path}: entry {i}: 'p' must be a number") from None
-        entries.append((tuple(str(v) for v in entry["values"]), p))
+        if not all(isinstance(v, str) for v in entry["values"]):
+            raise SchemaError(f"{path}: entry {i}: values must be strings")
+        entries.append((tuple(entry["values"]), p))
     return AttackerInstance(
         pmf=Pmf(catalog.names, tuple(entries)), beta=beta, knowledge="file"
     )
 
 
 def build_dictionary(attacker: AttackerInstance, attrs: Iterable[str]) -> Dictionary:
-    """Group the attacker's PMF on ``attrs``; keep the budgeted most probable tuples."""
+    """Group the attacker's PMF on ``attrs``; keep the budgeted most probable tuples.
+
+    A PMF uniform over a product of column domains gives every projected tuple
+    one mass, so its dictionary is the projected product's first beta tuples.
+    """
     target = tuple(attrs)
     missing = set(target) - set(attacker.pmf.attrs)
     if missing:
@@ -146,6 +156,14 @@ def build_dictionary(attacker: AttackerInstance, attrs: Iterable[str]) -> Dictio
             f"attribute {sorted(missing)[0]!r} is outside the attacker's knowledge"
         )
     cols = column_indices(attacker.pmf.attrs, target)
+    domains = attacker.product_domains
+    if domains is not None:
+        projected = [domains[c] for c in cols]
+        top = tuple(itertools.islice(itertools.product(*projected), attacker.beta))
+        # Each group's m equal weights, added one by one as bincount does.
+        m = len(attacker.pmf.entries) // math.prod(map(len, projected))
+        mass = np.full(m, attacker.pmf.entries[0][1]).cumsum()[-1].item()
+        return Dictionary(attrs=target, entries=top, probabilities=(mass,) * len(top))
     coded, probabilities = attacker.coded
     _, first, groups = np.unique(
         coded.group_keys(cols), return_index=True, return_inverse=True

@@ -431,6 +431,10 @@ MALFORMED = {
         t, d, c, [{"values": ["True", "fr", "1080", "-1"], "p": 1.0}], attributes=5),
     "pmf-values-number": lambda t, d, c: _file_attacker(
         t, d, c, [{"values": 5, "p": 1.0}]),
+    "pmf-value-bool": lambda t, d, c: _file_attacker(
+        t, d, c, [{"values": [True, "fr", "1080", "-1"], "p": 1.0}]),
+    "pmf-value-null": lambda t, d, c: _file_attacker(
+        t, d, c, [{"values": [None, "fr", "1080", "-1"], "p": 1.0}]),
     "config-beta": lambda t, d, c: _run_config(t, d, c, beta="x"),
     "config-beta-overflow": lambda t, d, c: _run_config(t, d, c, beta="HUGE"),
     "config-beta-fraction": lambda t, d, c: _run_config(t, d, c, beta=2.7),
@@ -516,6 +520,33 @@ def test_search_commands_count_exact_population_reach(tmp_path, monkeypatch):
     assert built == []
     assert main(["evaluate", "--attrs", "Language,Screen", *inputs]) == EXIT_OK
     assert built
+
+
+def test_uniform_attackers_list_their_dictionaries(tmp_path, monkeypatch):
+    """The uniform attacker's dictionaries are the first tuples of a product:
+    oracle and select on an all-exact catalog build them without coding the
+    PMF. A population attacker still codes its PMF for a tolerant set."""
+    dataset, catalog = write_table1_files(tmp_path, repeats=2)
+    module = importlib.import_module("fpselect.sensitivity")
+    built = []
+    original = module.build_dictionary
+
+    def counted(attacker, attrs):
+        built.append(attacker)
+        return original(attacker, attrs)
+
+    monkeypatch.setattr(module, "build_dictionary", counted)
+    inputs = ["--dataset", str(dataset), "--catalog", str(catalog), "--alpha", "0.4",
+              "--beta", "2", "--out", str(tmp_path / "out.json")]
+    for command in (["oracle"], ["select", "--k", "2"]):
+        assert main([*command, *inputs, "--knowledge", "uniform"]) == EXIT_OK
+    assert built and all(a.knowledge == "uniform" for a in built)
+    assert not any("coded" in vars(a) for a in built)
+    built.clear()
+    argv = _catalog_entry(tmp_path, dataset, catalog, kind="text", match_threshold=1)
+    assert main([*argv, "--knowledge", "population",
+                 "--out", str(tmp_path / "out.json")]) == EXIT_OK
+    assert any("coded" in vars(a) for a in built)
 
 
 @pytest.mark.parametrize("fields, warned", [

@@ -11,6 +11,7 @@ The column loader must give the row loader's views, or its error message.
 from __future__ import annotations
 
 import copy
+import itertools
 import random
 import tempfile
 from collections import Counter
@@ -83,8 +84,9 @@ def attribute(draw, i):
 
 
 @st.composite
-def instances(draw):
-    """A dataset plus an attacker over its catalog: population, uniform or file."""
+def instances(draw, kinds=("population", "uniform", "file", "product")):
+    """A dataset plus an attacker over its catalog: population, uniform,
+    file, or a file uniform over a product of drawn domains."""
     attributes = [draw(attribute(i)) for i in range(draw(st.integers(1, 4)))]
     catalog = AttributeCatalog(tuple(spec for spec, _, _ in attributes))
     # Columns in catalog order, which sorts the attributes by name.
@@ -108,11 +110,21 @@ def instances(draw):
     dataset = Dataset(catalog, tuple(observations))
 
     beta = draw(st.integers(1, 6))
-    knowledge = draw(st.sampled_from(["population", "uniform", "file"]))
+    knowledge = draw(st.sampled_from(kinds))
     if knowledge == "population":
         return dataset, population_attacker(dataset, beta)
     if knowledge == "uniform":
         return dataset, uniform_attacker(dataset, beta)
+    if knowledge == "product":
+        # Domains in drawn order, which may miss stored values and add unseen
+        # ones; half the time one entry short of their product, renormalised.
+        domains = [draw(st.lists(attributes[i][2], min_size=1, max_size=4,
+                                 unique=True)) for i in order]
+        support = list(itertools.product(*domains))
+        if len(support) > 1 and draw(st.booleans()):
+            del support[draw(st.integers(0, len(support) - 1))]
+        entries = tuple((v, 1 / len(support)) for v in support)
+        return dataset, AttackerInstance(Pmf(names, entries), beta, "file")
     # Small integer weights make probability ties common, including sums
     # such as 1/7 + 2/7 against 3/7 that tie or not by composition.
     support = draw(st.lists(st.tuples(*[attributes[i][2] for i in order]),
@@ -139,6 +151,33 @@ def test_build_dictionary_matches_reference(instance, data):
     assert build_dictionary(attacker, attrs) == reference.build_dictionary(
         attacker, attrs
     )
+
+
+@SETTINGS
+@given(instances(kinds=("product", "file")), st.data())
+def test_product_dictionary_matches_reference(instance, data):
+    """A PMF uniform over the product of its column domains skips grouping,
+    and any other PMF, one entry short of a product included, groups. Both
+    give the reference's tuples and masses for every budget up to one past
+    the number of groups."""
+    _, attacker = instance
+    entries = attacker.pmf.entries
+    values = [v for v, _ in entries]
+    domains = [sorted(set(column)) for column in zip(*values)]
+    product = (len({p for _, p in entries}) == 1
+               and set(itertools.product(*domains)) == set(values))
+    every = AttackerInstance(attacker.pmf, len(entries), "file")
+    # The empty set adds every weight into one mass, where m copies of w
+    # often sum to other than w * m.
+    for attrs in (data.draw(subsets(attacker.pmf.attrs)), ()):
+        groups = len(reference.build_dictionary(every, attrs).entries)
+        for beta in range(1, groups + 2):
+            knows = AttackerInstance(attacker.pmf, beta, attacker.knowledge)
+            assert build_dictionary(knows, attrs) == reference.build_dictionary(
+                knows, attrs
+            )
+            assert knows.product_domains == (domains if product else None)
+            assert ("coded" in vars(knows)) is not product
 
 
 @SETTINGS
@@ -401,6 +440,22 @@ def test_group_keys_renumber_before_overflow():
     order = np.argsort(keys, kind="stable").tolist()
     assert [rows[i] for i in order] == sorted(rows)
     assert len(set(keys.tolist())) == len(set(rows))
+
+
+def test_product_masses_are_running_sums():
+    # Uniform over {p, q} x {x, y, z}: the empty set's one group adds six
+    # weights of 1/6, which one by one make 0.9999999999999999, not the
+    # 1.0 of 6 * (1/6). Value order breaks the ties among equal masses.
+    entries = tuple(((a, b), 1 / 6) for b in "zyx" for a in "qp")
+    attacker = AttackerInstance(Pmf(("a", "b"), entries), beta=2, knowledge="file")
+    assert attacker.product_domains == [["p", "q"], ["x", "y", "z"]]
+    assert build_dictionary(attacker, ()).probabilities == (0.9999999999999999,)
+    assert build_dictionary(attacker, ("b",)).entries == (("x",), ("y",))
+    for attrs in ((), ("b",), ("a", "b"), ("b", "a", "b")):
+        assert build_dictionary(attacker, attrs) == reference.build_dictionary(
+            attacker, attrs
+        )
+    assert "coded" not in vars(attacker)
 
 
 def test_probability_ties_depend_on_composition():
