@@ -33,6 +33,15 @@ def as_float(value) -> float:
     return float(value)
 
 
+def read_json(path: str | Path):
+    """The document in the JSON file at ``path``. Text that is not UTF-8 or
+    not JSON raises ``SchemaError``; a failed read raises ``OSError``."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class AttributeSpec:
     """One candidate attribute: its value kind and matching tolerance.
@@ -133,10 +142,7 @@ class AttributeCatalog:
 def load_catalog(path: str | Path) -> AttributeCatalog:
     """Parse a catalog file (JSON array of attribute objects)."""
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
+    raw = read_json(path)
     if not isinstance(raw, list):
         raise SchemaError(f"{path}: catalog must be a JSON array")
     specs = []
@@ -150,6 +156,9 @@ def load_catalog(path: str | Path) -> AttributeCatalog:
         for required in ("name", "kind"):
             if required not in entry:
                 raise SchemaError(f"{path}: entry {i}: missing field {required!r}")
+        for text in ("name", "kind", "set_separator"):
+            if not isinstance(entry.get(text, ""), str):
+                raise SchemaError(f"{path}: entry {i}: {text} must be a string")
         try:
             threshold = as_float(entry.get("match_threshold", 0.0))
         except (TypeError, ValueError):
@@ -160,11 +169,11 @@ def load_catalog(path: str | Path) -> AttributeCatalog:
             raise SchemaError(f"{path}: entry {i}: async must be true or false")
         specs.append(
             AttributeSpec(
-                name=str(entry["name"]),
-                kind=str(entry["kind"]),
+                name=entry["name"],
+                kind=entry["kind"],
                 is_async=entry.get("async", False),
                 match_threshold=threshold,
-                set_separator=str(entry.get("set_separator", ";")),
+                set_separator=entry.get("set_separator", ";"),
             )
         )
     return AttributeCatalog(tuple(specs))

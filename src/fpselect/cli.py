@@ -6,7 +6,7 @@ baselines, exhaustive oracle), and evaluating a hand-picked set. Reports
 are deterministic JSON; progress and diagnostics go to standard error.
 
 Exit codes: 0 success, 2 no solution exists for the requested threshold,
-3 malformed input file, 4 invalid configuration.
+3 malformed input file, 4 invalid configuration or an unusable path.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .catalog import as_float, as_int, load_catalog, save_catalog
+from .catalog import as_float, as_int, load_catalog, read_json, save_catalog
 from .cost import CostWeights, attribute_cost_stats
 from .dataset import Dataset, load_observations, save_dataset
 from .errors import ConfigError, FpselectError, SchemaError
@@ -81,13 +81,8 @@ class RunConfig:
         for label, value in (("dataset", self.dataset), ("catalog", self.catalog)):
             if not value:
                 raise ConfigError(f"missing {label} path")
-            if not Path(value).exists():
-                raise ConfigError(f"{label} file {value!r} does not exist")
-        if self.knowledge == "file":
-            if not self.pmf_path:
-                raise ConfigError("knowledge 'file' requires --pmf-path")
-            if not Path(self.pmf_path).exists():
-                raise ConfigError(f"pmf file {self.pmf_path!r} does not exist")
+        if self.knowledge == "file" and not self.pmf_path:
+            raise ConfigError("knowledge 'file' requires --pmf-path")
 
     def to_report_dict(self) -> dict:
         return {
@@ -110,12 +105,7 @@ def _progress(message: str) -> None:
 def _load_file_config(path: str | None) -> dict:
     if not path:
         return {}
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
+    raw = read_json(path)
     if not isinstance(raw, dict):
         raise SchemaError(f"{path}: run config must be a JSON object")
     for key in ("dataset", "catalog", "pmf_path", "out"):
@@ -463,7 +453,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SchemaError as exc:
         print(f"fpselect: schema error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA_ERROR
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"fpselect: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     except FpselectError as exc:

@@ -10,7 +10,6 @@ the per-attribute matching functions.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -19,7 +18,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .catalog import AttributeCatalog, as_float
+from .catalog import AttributeCatalog, as_float, read_json
 from .dataset import (
     CodedRows,
     Dataset,
@@ -117,10 +116,7 @@ def attacker_from_file(
     with attributes exactly matching the catalog in canonical order.
     """
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
+    raw = read_json(path)
     if not isinstance(raw, dict) or not isinstance(raw.get("entries"), list):
         raise SchemaError(f"{path}: expected an object with an 'entries' array")
     attrs = raw.get("attributes")
@@ -138,9 +134,11 @@ def attacker_from_file(
         if not all(isinstance(v, str) for v in entry["values"]):
             raise SchemaError(f"{path}: entry {i}: values must be strings")
         entries.append((tuple(entry["values"]), p))
-    return AttackerInstance(
-        pmf=Pmf(catalog.names, tuple(entries)), beta=beta, knowledge="file"
-    )
+    try:
+        pmf = Pmf(catalog.names, tuple(entries))
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+    return AttackerInstance(pmf=pmf, beta=beta, knowledge="file")
 
 
 def build_dictionary(attacker: AttackerInstance, attrs: Iterable[str]) -> Dictionary:

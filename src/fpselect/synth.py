@@ -9,14 +9,13 @@ fully correlated pairs.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .catalog import AttributeCatalog, AttributeSpec, as_int
+from .catalog import AttributeCatalog, AttributeSpec, as_int, read_json
 from .dataset import Dataset, Observation
 from .errors import ConfigError, SchemaError
 
@@ -105,10 +104,7 @@ class SynthConfig:
 
 def load_synth_config(path: str | Path) -> SynthConfig:
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
+    raw = read_json(path)
     if not isinstance(raw, dict):
         raise SchemaError(f"{path}: generator config must be a JSON object")
     try:

@@ -415,7 +415,39 @@ def _synth_config(tmp_path, browsers=24, observations_per_browser=2, **attribute
     return ["synth", "--config", str(config)]
 
 
+def _unusable(tmp_path, dataset, catalog, argv, fault):
+    """``argv`` with ``UNUSABLE`` standing for a path that is missing, a
+    directory, or a file of two bytes that are not UTF-8."""
+    bad = tmp_path / "unusable"
+    if fault == "directory":
+        bad.mkdir()
+    elif fault == "bytes":
+        bad.write_bytes(b"\xff\xfe")
+    paths = {"UNUSABLE": str(bad), "DATASET": str(dataset), "CATALOG": str(catalog)}
+    return [paths.get(arg, arg) for arg in argv]
+
+
+_SELECT = ["select", "--alpha", "0.2"]
+UNUSABLE_INPUTS = {
+    "dataset": [*_SELECT, "--dataset", "UNUSABLE", "--catalog", "CATALOG"],
+    "catalog": [*_SELECT, "--dataset", "DATASET", "--catalog", "UNUSABLE"],
+    "pmf": [*_SELECT, "--dataset", "DATASET", "--catalog", "CATALOG",
+            "--knowledge", "file", "--pmf-path", "UNUSABLE"],
+    "run-config": ["select", "--config", "UNUSABLE"],
+    "generator": ["synth", "--config", "UNUSABLE"],
+}
+
+
 MALFORMED = {
+    **{
+        f"unusable-{name}-{fault}": (
+            lambda t, d, c, argv=argv, fault=fault: _unusable(t, d, c, argv, fault))
+        for name, argv in UNUSABLE_INPUTS.items()
+        for fault in ("missing", "directory", "bytes")
+    },
+    "unusable-calibrate-dataset-missing": lambda t, d, c: _unusable(
+        t, d, c, ["calibrate", "--dataset", "UNUSABLE", "--catalog", "CATALOG"],
+        "missing"),
     "catalog-threshold": lambda t, d, c: _catalog_entry(
         t, d, c, match_threshold="x"),
     "catalog-threshold-bool": lambda t, d, c: _catalog_entry(
@@ -492,8 +524,59 @@ def test_malformed_input_is_one_line_and_exit_3_or_4(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert status in (EXIT_SCHEMA_ERROR, EXIT_BAD_CONFIG)
     assert len(err.splitlines()) == 1
+    assert err.startswith("fpselect: ")
     assert "Traceback" not in err
     assert not (tmp_path / "out.json").exists()
+    if case.startswith("unusable-"):
+        assert str(tmp_path / "unusable") in err
+
+
+@pytest.mark.parametrize("entries, entry", [
+    ([{"values": ["True", "fr", "1080"], "p": 1.0}], 0),
+    ([{"values": ["True", "fr", "1080", "-1"], "p": 0.5}] * 2, 1),
+    ([{"values": ["True", "fr", "1080", "-1"], "p": 0}], 0),
+    ([{"values": ["True", "fr", "1080", "-1"], "p": 0.9}], None),
+], ids=["short", "repeated", "zero", "sum"])
+def test_pmf_errors_name_the_file_and_the_entry(tmp_path, capsys, entries, entry):
+    dataset, catalog = write_table1_files(tmp_path, repeats=2)
+    argv = _file_attacker(tmp_path, dataset, catalog, entries)
+    capsys.readouterr()
+    assert main(argv) == EXIT_SCHEMA_ERROR
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.startswith(f"fpselect: schema error: {tmp_path / 'pmf.json'}: ")
+    if entry is not None:
+        assert f"PMF entry {entry}: " in err
+
+
+@pytest.mark.parametrize("flag", ["--out", "--trace-csv", "--stats-out",
+                                  "--stats-csv", "--write-catalog", "synth --out",
+                                  "--catalog-out"])
+def test_output_in_a_missing_directory_is_a_config_error(
+    tmp_path, capsys, synth_paths, flag
+):
+    dataset, catalog = synth_paths
+    inputs = ["--dataset", str(dataset), "--catalog", str(catalog)]
+    report = ["--out", str(tmp_path / "report.json")]
+    argv = {
+        "--out": ["select", *inputs, "--alpha", "0.5"],
+        "--trace-csv": ["select", *inputs, "--alpha", "0.5", *report],
+        "--stats-out": ["evaluate", "--attrs", "alpha", *inputs, "--alpha", "0.5",
+                        *report],
+        "--stats-csv": ["evaluate", "--attrs", "alpha", *inputs, "--alpha", "0.5",
+                        *report],
+        "--write-catalog": ["calibrate", *inputs, *report],
+        "synth --out": ["synth", "--config", str(tmp_path / "generator.json")],
+        "--catalog-out": ["synth", "--config", str(tmp_path / "generator.json"),
+                          "--out", str(tmp_path / "again.jsonl")],
+    }[flag]
+    missing = tmp_path / "no" / "such" / "directory" / "file"
+    capsys.readouterr()
+    status = main([*argv, flag.split()[-1], str(missing)])
+    err = capsys.readouterr().err
+    assert status == EXIT_BAD_CONFIG
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("fpselect: invalid configuration: ")
+    assert str(missing) in err.splitlines()[-1]
 
 
 def test_search_commands_count_exact_population_reach(tmp_path, monkeypatch):

@@ -27,6 +27,7 @@ from fpselect import (
     calibrate_thresholds,
     consecutive_pairs,
     evaluate,
+    load_catalog,
     load_dataset,
     pmf,
     population_attacker,
@@ -38,6 +39,7 @@ from fpselect import (
     synthesize,
     uniform_attacker,
 )
+from fpselect.dataset import load_observations
 
 from conftest import TABLE1_ATTRS, TABLE1_ROWS, make_dataset, write_table1_files
 
@@ -347,6 +349,26 @@ class TestSynthesize:
         assert all(len(w) == 1 for w in widths.values())
 
 
+class TestCatalogFile:
+    @pytest.mark.parametrize("field, value", [
+        ("name", True), ("kind", 5), ("set_separator", 5), ("set_separator", None),
+    ])
+    def test_text_fields_must_be_json_strings(self, tmp_path, field, value):
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps([{"name": "a", "kind": "set", field: value}]))
+        with pytest.raises(SchemaError) as refused:
+            load_catalog(path)
+        assert str(refused.value) == f"{path}: entry 0: {field} must be a string"
+
+    def test_invalid_json_and_utf8_name_the_file(self, tmp_path):
+        path = tmp_path / "catalog.json"
+        for text in (b"[", b"\xff\xfe"):
+            path.write_bytes(text)
+            with pytest.raises(SchemaError, match="invalid JSON") as refused:
+                load_catalog(path)
+            assert str(refused.value).startswith(f"{path}: invalid JSON: ")
+
+
 class TestDatasetValidation:
     def test_empty_observation_list_rejected(self, catalog):
         with pytest.raises(SchemaError, match="empty dataset"):
@@ -357,6 +379,25 @@ class TestDatasetValidation:
         obs = Observation("u1", 0, values, {"Screen": -1.0})
         with pytest.raises(SchemaError, match="non-negative"):
             Dataset(catalog, (obs,))
+
+    @pytest.mark.parametrize("field, value", [
+        ("seq", True), ("seq", 1.5), ("seq", "x"), ("browser_id", 7),
+        ("collect_ms", {"Screen": True}),
+    ])
+    def test_constructor_refuses_what_the_loader_refuses(
+        self, tmp_path, catalog, field, value
+    ):
+        row = {"browser_id": "u1", "seq": 0, "collect_ms": {},
+               "values": dict(zip(TABLE1_ATTRS, TABLE1_ROWS["u1"])), field: value}
+        path = tmp_path / "row.jsonl"
+        path.write_text(json.dumps(row) + "\n")
+        with pytest.raises(SchemaError) as loaded:
+            load_observations(path, catalog)
+        with pytest.raises(SchemaError) as built:
+            Dataset(catalog, (Observation(**row),))
+        where = f"{path}:1: "
+        assert str(loaded.value).startswith(where)
+        assert str(built.value) == "observation 0: " + str(loaded.value)[len(where):]
 
     def test_user_mapping_takes_first_observation(self):
         spec = (AttributeSpec("a", "category"),)
