@@ -1,22 +1,23 @@
 """Fingerprint datasets: loading, validation, projection, coding, distributions.
 
-A dataset is held as integer code columns. The loader and
-``Dataset(catalog, observations)`` check each row and append it to those
-columns in one pass. Each browser's first row is its stored fingerprint,
-which the sensitivity measure reads; all rows (interleaved repeats
-included) feed the cost measures. ``observations`` and ``user_mapping``
-decode the columns on demand.
+A dataset is held as integer code columns. A load is one lean pass, C-level
+checks per line and one check per distinct value, plus a full re-check row by
+row only of a suspect file, which then costs about twice as much to load.
+Each browser's first row is its stored fingerprint, which the sensitivity
+measure reads; all rows (interleaved repeats included) feed the cost
+measures. ``observations`` and ``user_mapping`` decode the columns on demand.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -173,11 +174,8 @@ class Dataset:
     def __init__(
         self, catalog: AttributeCatalog, observations: Iterable[Observation]
     ) -> None:
-        rows = (
-            (f"observation {i}", obs.browser_id, obs.seq, obs.values, obs.collect_ms)
-            for i, obs in enumerate(observations)
-        )
-        _fill(self, catalog, rows, "empty dataset")
+        rows = ((f"observation {i}", vars(obs)) for i, obs in enumerate(observations))
+        _fill(self, catalog, _checked_rows(rows, set(catalog.names)), "empty dataset")
 
     def __len__(self) -> int:
         """The number of rows, one per observation."""
@@ -275,27 +273,70 @@ class Dataset:
 def _fill(
     dataset: Dataset, catalog: AttributeCatalog, rows: Iterable[tuple], empty: str
 ) -> Dataset:
-    """Check each ``(where, browser_id, seq, values, collect_ms)`` of ``rows``
-    and write them into ``dataset`` as code columns.
-
-    A seq that does not increase is raised after every row's own checks.
-    """
-    names, known = catalog.names, set(catalog.names)
+    """Write each ``(browser_id, seq, values, collect_ms)`` of ``rows`` into
+    ``dataset`` as code columns, then check each distinct value and all times
+    once, which rows of ``_checked_rows`` always pass. A seq that does not
+    increase is raised after that."""
+    names = catalog.names
     books: list[dict[str, int]] = [{} for _ in names]  # codes in first-seen order
     codes: list[int] = []
     times: list[float] = []
+    stated = 0  # times given; fewer finite: a NaN, an infinity or an unknown name
     browsers: dict[str, int] = {}
     ordinals: list[int] = []
     seqs: list[int] = []  # Python ints: a JSON seq may not fit int64
     last_seq: dict[str, int] = {}
     fault = None
-    for where, browser_id, seq, values, collect in rows:
+    for browser_id, seq, values, collect in rows:
+        previous = last_seq.get(browser_id, -1)  # every seq is non-negative
+        if seq <= previous and fault is None:
+            fault = (f"observation {len(seqs)}: seq {seq} for browser {browser_id!r}"
+                     f" does not increase (previous {previous})")
+        last_seq[browser_id] = seq
+        # setdefault with the codebook's size codes a value at first sight.
+        row = map(values.__getitem__, names)
+        codes.extend(map(dict.setdefault, books, row, map(len, books)))
+        times.extend(map(collect.get, names, repeat(math.nan)))  # NaN: absent
+        stated += len(collect)
+        ordinals.append(browsers.setdefault(browser_id, len(browsers)))
+        seqs.append(seq)
+    "".join(chain.from_iterable(books)).encode("utf-8")  # str, no surrogate
+    matrix = np.array(times, dtype=float)
+    if (not {*map(type, times)} <= {int, float} or (matrix < 0).any()
+            or np.isfinite(matrix).sum() != stated):
+        raise ValueError("collect_ms must hold finite non-negative numbers")
+    if not seqs:
+        raise SchemaError(empty)
+    if fault is not None:
+        raise SchemaError(fault)
+    dataset.catalog, dataset.browser_ids = catalog, tuple(browsers)
+    dataset.codes = _renumbered(books, codes, len(seqs))
+    dataset._ordinals = np.array(ordinals, dtype=np.intp)
+    dataset._times = matrix.reshape(dataset.codes.matrix.shape)
+    dataset._seqs = seqs
+    return dataset
+
+
+def _checked_rows(rows: Iterable[tuple], known: set[str]) -> Iterator[tuple]:
+    """Check each ``(where, row)`` of ``rows``, a row being a JSON line's
+    document or an ``Observation``'s fields, and yield it for ``_fill`` with
+    an int seq and float times. Every message about a row's content is here."""
+    for where, row in rows:
+        if not isinstance(row, dict):
+            raise SchemaError(f"{where}: row must be a JSON object")
+        for required in ("browser_id", "seq", "values"):
+            if required not in row:
+                raise SchemaError(f"{where}: missing field {required!r}")
+        browser_id, seq, values = row["browser_id"], row["seq"], row["values"]
+        if not isinstance(values, Mapping):
+            raise SchemaError(f"{where}: 'values' must be an object")
+        collect = row.get("collect_ms", {})
+        if not isinstance(collect, Mapping):
+            raise SchemaError(f"{where}: 'collect_ms' must be an object")
         if not isinstance(browser_id, str):
             raise SchemaError(f"{where}: 'browser_id' must be a string")
         try:
             seq = as_int(seq)
-            # Inlined rather than as_float per value, which made loading
-            # a 1,200-line dataset about 8% slower.
             collect_ms = {
                 a: float(t) for a, t in collect.items() if type(t) is not bool
             }
@@ -313,6 +354,8 @@ def _fill(
         for a, v in values.items():
             if not isinstance(v, str):
                 raise SchemaError(f"{where}: value for {a!r} must be a string")
+            if not v.isascii() and re.search("[\ud800-\udfff]", v):  # lone surrogate
+                raise SchemaError(f"{where}: value for {a!r} is not valid UTF-8")
         for a, t in collect_ms.items():
             if a not in known:
                 raise SchemaError(f"{where}: collect_ms for unknown attribute {a!r}")
@@ -320,28 +363,7 @@ def _fill(
                 raise SchemaError(
                     f"{where}: collect_ms for {a!r} must be finite and non-negative"
                 )
-        previous = last_seq.get(browser_id)
-        if fault is None and previous is not None and seq <= previous:
-            fault = (f"observation {len(seqs)}: seq {seq} for browser {browser_id!r}"
-                     f" does not increase (previous {previous})")
-        last_seq[browser_id] = seq
-        # setdefault with the codebook's size codes a value at first sight.
-        row = map(values.__getitem__, names)
-        codes.extend(map(dict.setdefault, books, row, map(len, books)))
-        # NaN marks an absent time, since validation lets no NaN through.
-        times.extend(map(collect_ms.get, names, repeat(math.nan)))
-        ordinals.append(browsers.setdefault(browser_id, len(browsers)))
-        seqs.append(seq)
-    if not seqs:
-        raise SchemaError(empty)
-    if fault is not None:
-        raise SchemaError(fault)
-    dataset.catalog, dataset.browser_ids = catalog, tuple(browsers)
-    dataset.codes = _renumbered(books, codes, len(seqs))
-    dataset._ordinals = np.array(ordinals, dtype=np.intp)
-    dataset._times = np.array(times, dtype=float).reshape(dataset.codes.matrix.shape)
-    dataset._seqs = seqs
-    return dataset
+        yield browser_id, seq, values, collect_ms
 
 
 def load_dataset(path: str | Path, catalog_path: str | Path) -> Dataset:
@@ -351,40 +373,49 @@ def load_dataset(path: str | Path, catalog_path: str | Path) -> Dataset:
 
 
 def load_observations(path: str | Path, catalog: AttributeCatalog) -> Dataset:
-    """Check each line of a JSON Lines dataset into code columns, in one pass."""
+    """Read a JSON Lines dataset into code columns in one lean pass, and read a
+    suspect file again through the checked source."""
     path = Path(path)
-    # The lines go into the columns directly, not through __init__.
+    known, empty = set(catalog.names), f"{path}: empty dataset"
     with path.open(encoding="utf-8") as handle:
+        if handle.seekable():  # a pipe could not be read a second time
+            try:
+                rows = _lean_rows(handle, len(known))
+                return _fill(Dataset.__new__(Dataset), catalog, rows, empty)
+            # UnicodeDecodeError and json's errors are ValueErrors.
+            except (AttributeError, KeyError, OverflowError, TypeError, ValueError):
+                handle.seek(0)
         try:
-            return _fill(Dataset.__new__(Dataset), catalog, _parse_lines(path, handle),
-                         f"{path}: empty dataset")
+            rows = _checked_rows(_json_rows(path, handle), known)
+            return _fill(Dataset.__new__(Dataset), catalog, rows, empty)
         except UnicodeDecodeError as exc:
             raise SchemaError(f"{path}: invalid UTF-8: {exc}") from exc
 
 
-def _parse_lines(path: Path, handle: Iterable[str]) -> Iterator[tuple]:
-    """Each non-blank line as a row for ``_fill``, after the checks that need
-    no catalog."""
-    for lineno, line in enumerate(handle, start=1):
-        if not line.strip():
-            continue
-        where = f"{path}:{lineno}"
-        try:
+def _lean_rows(handle: Iterable[str], width: int) -> Iterator[tuple]:
+    """Each non-blank line as a row for ``_fill``, after the checks that run in
+    C; a row that fails one raises. ``_fill`` raises ``KeyError`` for a missing
+    value, so ``width`` values leave no room for an unknown attribute."""
+    for line in handle:
+        if not line.isspace():
             row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{where}: invalid JSON: {exc}") from exc
-        if not isinstance(row, dict):
-            raise SchemaError(f"{where}: row must be a JSON object")
-        for required in ("browser_id", "seq", "values"):
-            if required not in row:
-                raise SchemaError(f"{where}: missing field {required!r}")
-        values = row["values"]
-        if not isinstance(values, dict):
-            raise SchemaError(f"{where}: 'values' must be an object")
-        collect = row.get("collect_ms", {})
-        if not isinstance(collect, dict):
-            raise SchemaError(f"{where}: 'collect_ms' must be an object")
-        yield where, row["browser_id"], row["seq"], values, collect
+            browser_id, seq, values = row["browser_id"], row["seq"], row["values"]
+            collect = row.get("collect_ms", {})
+            if not (type(browser_id) is str and type(seq) is int and seq >= 0
+                    and len(values) == width):
+                raise ValueError("the row needs the checked reading")
+            yield browser_id, seq, values, collect
+
+
+def _json_rows(path: Path, handle: Iterable[str]) -> Iterator[tuple]:
+    """``(where, document)`` for each non-blank line, for ``_checked_rows``."""
+    for lineno, line in enumerate(handle, start=1):
+        if not line.isspace():
+            where = f"{path}:{lineno}"
+            try:
+                yield where, json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise SchemaError(f"{where}: invalid JSON: {exc}") from exc
 
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:

@@ -91,8 +91,10 @@ def uniform_attacker(
     values, which grows multiplicatively; ``max_support`` guards against
     accidental blow-ups.
     """
-    names = dataset.catalog.names
-    domains = [sorted(set(column)) for column in zip(*dataset.stored_codes.decode())]
+    names, stored = dataset.catalog.names, dataset.stored_codes
+    # Codes follow str order, so the codes in use list the values sorted.
+    domains = [[values[c] for c in np.flatnonzero(np.bincount(column)).tolist()]
+               for values, column in zip(map(list, stored.lookup), stored.matrix.T)]
     size = math.prod(map(len, domains))
     if size > max_support:
         raise ConfigError(

@@ -13,7 +13,8 @@ text distances go through it.
 
 ``load_observations`` is the row loader from before the loader wrote code
 columns: it checks each JSON line into an ``Observation`` and then checks
-that every browser's seqs increase. ``browser_groups``, ``user_mapping``,
+that every browser's seqs increase. Like the loader, it refuses a value
+that has no UTF-8 form, a lone surrogate. ``browser_groups``, ``user_mapping``,
 ``codes``, ``attribute_times``, ``pairs`` and ``pmf`` are the views the
 ``Dataset`` built from those rows, and ``pmf`` counts projected stored
 fingerprints with a ``Counter``. Property tests pin the coded kernels and
@@ -193,6 +194,10 @@ def _validate_observation(obs: Observation, names: set[str], where: str) -> None
     for a, v in obs.values.items():
         if not isinstance(v, str):
             raise SchemaError(f"{where}: value for {a!r} must be a string")
+        try:
+            v.encode("utf-8")
+        except UnicodeEncodeError:
+            raise SchemaError(f"{where}: value for {a!r} is not valid UTF-8") from None
     for a, t in obs.collect_ms.items():
         if a not in names:
             raise SchemaError(f"{where}: collect_ms for unknown attribute {a!r}")

@@ -504,6 +504,8 @@ MALFORMED = {
         t, d, c, collect_ms={"Screen": float("nan")}),
     "bool-collect-ms": lambda t, d, c: _first_row(
         t, d, c, collect_ms={"Screen": True}),
+    "value-lone-surrogate": lambda t, d, c: _first_row(t, d, c, values={
+        **json.loads(d.read_text().splitlines()[0])["values"], "Screen": "\ud800"}),
     "browser-id-null": lambda t, d, c: _first_row(t, d, c, browser_id=None),
     "browser-id-number": lambda t, d, c: _first_row(t, d, c, browser_id=1),
     "seq-overflow": lambda t, d, c: _first_row(t, d, c, seq="HUGE"),
@@ -741,3 +743,20 @@ class TestConsoleEntry:
         assert out.exists()
         assert proc.stdout == ""  # machine output only goes to files/stdout
         assert "completed" in proc.stderr
+
+    def test_a_piped_dataset_is_read_once(self, tmp_path):
+        # A pipe cannot be read twice, so a dataset that only the checked
+        # reading accepts, here for a seq written as a float, must get that
+        # reading first.
+        dataset, catalog = write_table1_files(tmp_path, repeats=2)
+        rows = [json.loads(line) for line in dataset.read_text().splitlines()]
+        rows[-1]["seq"] = float(rows[-1]["seq"])
+        proc = subprocess.run(
+            [sys.executable, "-m", "fpselect.cli", "evaluate", "--attrs", "Screen",
+             "--dataset", "/dev/stdin", "--catalog", str(catalog), "--alpha", "0.2",
+             "--out", str(tmp_path / "report.json")],
+            input="".join(json.dumps(row) + "\n" for row in rows),
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr

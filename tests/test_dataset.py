@@ -383,6 +383,8 @@ class TestDatasetValidation:
     @pytest.mark.parametrize("field, value", [
         ("seq", True), ("seq", 1.5), ("seq", "x"), ("browser_id", 7),
         ("collect_ms", {"Screen": True}),
+        pytest.param("values", {**dict(zip(TABLE1_ATTRS, TABLE1_ROWS["u1"])),
+                                "Screen": "\udfff"}, id="values-lone-surrogate"),
     ])
     def test_constructor_refuses_what_the_loader_refuses(
         self, tmp_path, catalog, field, value

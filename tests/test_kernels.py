@@ -18,9 +18,11 @@ from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import fpselect.dataset
 import reference
 from fpselect import (
     AttributeCatalog,
@@ -286,9 +288,10 @@ def test_cost_columns_match_row_walks(instance):
 @st.composite
 def dataset_lines(draw, dataset):
     """JSON lines of ``dataset`` with blank lines, times for some attributes,
-    seqs past 2**63 or not, and at most one field of one line mutated: set
-    to a fuzz value, deleted, a value renamed to another attribute, the seq
-    redrawn, or the line cut short."""
+    seqs past 2**63 or not, and up to two lines mutated, one field each: set
+    to a fuzz value or a lone surrogate, deleted, a value renamed to another
+    attribute, a value or time added for an unknown one, the seq redrawn, or
+    the line cut short."""
     names = dataset.catalog.names
     offset = draw(st.sampled_from([0, 2**63 + 1]))
     rows = []
@@ -300,26 +303,34 @@ def dataset_lines(draw, dataset):
         if times or draw(st.booleans()):
             row["collect_ms"] = times
         rows.append(row)
-    mutation = draw(st.sampled_from(["none", "set", "delete", "rename", "seq",
-                                     "cut"]))
-    line = draw(st.integers(0, len(rows) - 1))
-    if mutation in ("set", "delete"):
-        path = draw(st.sampled_from(list(_paths(rows[line]))))
-        target = rows[line]
-        for key in path[:-1]:
-            target = target[key]
-        if mutation == "set":
-            target[path[-1]] = copy.deepcopy(draw(st.sampled_from(FUZZ_VALUES)))
+    cut = []
+    for line in draw(st.lists(st.integers(0, len(rows) - 1), max_size=2,
+                              unique=True)):
+        mutation = draw(st.sampled_from(["set", "delete", "rename", "add", "seq",
+                                         "cut"]))
+        if mutation in ("set", "delete"):
+            path = draw(st.sampled_from(list(_paths(rows[line]))))
+            target = rows[line]
+            for key in path[:-1]:
+                target = target[key]
+            if mutation == "set":
+                fuzz = draw(st.sampled_from([*FUZZ_VALUES, "\ud800"]))
+                target[path[-1]] = copy.deepcopy(fuzz)
+            else:
+                del target[path[-1]]
+        elif mutation == "rename":
+            values = rows[line]["values"]
+            name = draw(st.sampled_from(sorted(values)))
+            values[draw(st.sampled_from([*names, "zz", ""]))] = values.pop(name)
+        elif mutation == "add":
+            field = draw(st.sampled_from(["values", "collect_ms"]))
+            rows[line].setdefault(field, {})["zz"] = "a" if field == "values" else 1
+        elif mutation == "seq":
+            rows[line]["seq"] = offset + draw(st.integers(0, 2))
         else:
-            del target[path[-1]]
-    elif mutation == "rename":
-        values = rows[line]["values"]
-        name = draw(st.sampled_from(sorted(values)))
-        values[draw(st.sampled_from([*names, "zz", ""]))] = values.pop(name)
-    elif mutation == "seq":
-        rows[line]["seq"] = offset + draw(st.integers(0, 2))
+            cut.append(line)
     lines = [_huge(row) for row in rows]
-    if mutation == "cut":
+    for line in cut:
         lines[line] = lines[line][: draw(st.integers(0, len(lines[line]) - 1))]
     for _ in range(draw(st.integers(0, 3))):
         lines.insert(draw(st.integers(0, len(lines))),
@@ -362,6 +373,84 @@ def test_loader_matches_the_row_reference(instance, data):
     assert np.array_equal(got._pairs, reference.pairs(rows))
     attrs = data.draw(subsets(catalog.names))
     assert pmf(got, attrs).entries == reference.pmf(catalog, rows, attrs).entries
+
+
+XY_CATALOG = AttributeCatalog((AttributeSpec("x", "category"),
+                             AttributeSpec("y", "text")))
+
+
+def _rows_text(rows):
+    return "".join(_huge(row) + "\n" for row in rows)
+
+
+# Faults that a lean pass sees only after it has read every line, one that
+# it sees at once, and two oddities that only the checked source accepts.
+LINE_TWO = {
+    "bool-time": {"collect_ms": {"x": True}},
+    "negative-time": {"collect_ms": {"x": -1}},
+    "nan-time": {"collect_ms": {"x": float("nan")}},
+    "infinite-time": {"collect_ms": {"x": "HUGE"}},
+    "overflowing-time": {"collect_ms": {"x": 10**400}},
+    "unknown-time": {"collect_ms": {"zz": 1}},
+    "number-value": {"values": {"x": 7, "y": "b"}},
+    "lone-surrogate": {"values": {"x": "\ud800", "y": "b"}},
+    "negative-seq": {"seq": -1},
+    "string-time": {"collect_ms": {"x": "2.5"}},
+    "float-seq": {"seq": 3.0},
+}
+ACCEPTED = ("string-time", "float-seq")
+
+
+@pytest.mark.parametrize("later_fault", [False, True])
+@pytest.mark.parametrize("line_two", LINE_TWO)
+def test_the_first_faulty_line_is_reported(tmp_path, line_two, later_fault):
+    # A missing seq on line 3 ends the lean pass before line 2's times and
+    # values are checked; the message must still be line 2's.
+    rows = [{"browser_id": "u", "seq": 0, "values": {"x": "a", "y": "b"}},
+            {"browser_id": "v", "seq": 0, "values": {"x": "a", "y": "b"},
+             **LINE_TWO[line_two]},
+            {"browser_id": "w", "seq": 0, "values": {"x": "a", "y": "b"}}]
+    if later_fault:
+        del rows[2]["seq"]
+    path = tmp_path / "dataset.jsonl"
+    path.write_text(_rows_text(rows), encoding="utf-8")
+    got = _loaded(load_observations, path, XY_CATALOG)
+    expected = _loaded(reference.load_observations, path, XY_CATALOG)
+    accepted = line_two in ACCEPTED
+    if accepted and not later_fault:
+        assert got.observations == expected
+    else:
+        assert got == expected
+        assert got.startswith(f"{path}:{3 if accepted else 2}: ")
+
+
+def test_only_a_suspect_file_is_read_again_checked(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return checked_rows(*args)
+
+    checked_rows = fpselect.dataset._checked_rows
+    monkeypatch.setattr(fpselect.dataset, "_checked_rows", counted)
+    rows = [{"browser_id": b, "seq": 2**63 + seq,
+             "values": {"x": f"{b}{seq % 2}", "y": "é"},
+             "collect_ms": {"x": seq, "y": 2.5}}
+            for seq in range(3) for b in ("u", "v")]
+    path = tmp_path / "dataset.jsonl"
+    path.write_text("\n  \n" + _rows_text(rows[:3]) + "\t\n \n"
+                    + _rows_text(rows[3:]), encoding="utf-8")
+    clean = load_observations(path, XY_CATALOG)
+    assert calls == []
+    assert clean.observations == reference.load_observations(path, XY_CATALOG)
+    # An integral float seq is accepted, but only the checked source says so.
+    for row in rows:
+        row["seq"] -= 2**63
+    rows[4]["seq"] = 3.0
+    path.write_text(_rows_text(rows), encoding="utf-8")
+    suspect = load_observations(path, XY_CATALOG)
+    assert len(calls) == 1
+    assert suspect.observations == reference.load_observations(path, XY_CATALOG)
 
 
 def _calibration(calibrate, *args, **kwargs):
