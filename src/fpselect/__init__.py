@@ -23,6 +23,7 @@ from .dataset import (
     Observation,
     Pmf,
     consecutive_pairs,
+    joint_entropy_bits,
     load_dataset,
     pmf,
     project,
@@ -44,7 +45,6 @@ from .selection import (
     efficiency,
     evaluate,
     greedy_lattice_search,
-    joint_entropy_bits,
     select_cond_entropy_baseline,
     select_entropy_baseline,
     select_exhaustive,

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable
 
-from .errors import SchemaError
+from .errors import ConfigError, SchemaError
 
 VALUE_KINDS = ("text", "set", "number", "category", "dynamic")
 
@@ -34,12 +35,21 @@ def as_float(value) -> float:
 
 
 def read_json(path: str | Path):
-    """The document in the JSON file at ``path``. Text that is not UTF-8 or
-    not JSON raises ``SchemaError``; a failed read raises ``OSError``."""
+    """The document in the JSON file at ``path``. Text that is not UTF-8, not
+    JSON or nested too deeply raises ``SchemaError``; a failed read, ``OSError``."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def dump_json(doc) -> str:
+    """``doc`` as strict JSON text with a final newline, the one form of every
+    JSON file written; a NaN or an infinity raises ``ConfigError``."""
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        raise ConfigError("a reported number overflows to infinity") from None
 
 
 @dataclass(frozen=True)
@@ -61,6 +71,8 @@ class AttributeSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise SchemaError("attribute name must be non-empty")
+        if re.search("[\ud800-\udfff]", self.name):  # a lone surrogate
+            raise SchemaError(f"attribute name {self.name!r} is not valid UTF-8")
         if self.kind not in VALUE_KINDS:
             raise SchemaError(
                 f"attribute {self.name!r}: unknown kind {self.kind!r}"
@@ -167,16 +179,20 @@ def load_catalog(path: str | Path) -> AttributeCatalog:
             ) from None
         if not isinstance(entry.get("async", False), bool):
             raise SchemaError(f"{path}: entry {i}: async must be true or false")
-        specs.append(
-            AttributeSpec(
+        try:
+            specs.append(AttributeSpec(
                 name=entry["name"],
                 kind=entry["kind"],
                 is_async=entry.get("async", False),
                 match_threshold=threshold,
                 set_separator=entry.get("set_separator", ";"),
-            )
-        )
-    return AttributeCatalog(tuple(specs))
+            ))
+        except SchemaError as exc:
+            raise SchemaError(f"{path}: entry {i}: {exc}") from exc
+    try:
+        return AttributeCatalog(tuple(specs))
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
 
 
 def catalog_to_json(catalog: AttributeCatalog) -> list[dict]:
@@ -194,7 +210,4 @@ def catalog_to_json(catalog: AttributeCatalog) -> list[dict]:
 
 
 def save_catalog(catalog: AttributeCatalog, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(catalog_to_json(catalog), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    Path(path).write_text(dump_json(catalog_to_json(catalog)), encoding="utf-8")

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import os
 import sys
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .catalog import as_float, as_int, load_catalog, read_json, save_catalog
+from .catalog import as_float, as_int, dump_json, load_catalog, read_json, save_catalog
 from .cost import CostWeights, attribute_cost_stats
 from .dataset import Dataset, load_observations, save_dataset
 from .errors import ConfigError, FpselectError, SchemaError
@@ -217,10 +216,7 @@ def _selection_report(result: SelectionResult, config: RunConfig) -> dict:
 
 
 def _write_report(report: dict, out: str | None) -> None:
-    try:
-        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    except ValueError:
-        raise ConfigError("a reported number overflows to infinity") from None
+    text = dump_json(report)
     if out:
         Path(out).write_text(text, encoding="utf-8")
         _progress(f"report written to {out}")
@@ -310,15 +306,16 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         "sensitivity": evaluation.sensitivity,
         "impersonated_users": sorted(evaluation.impersonated),
     }
-    _write_report(report, config.out)
     if args.stats_out or args.stats_csv:
         stats = attribute_cost_stats(dataset, config.weights)
-        if args.stats_out:
-            stats.save_json(args.stats_out)
-            _progress(f"attribute cost stats written to {args.stats_out}")
-        if args.stats_csv:
-            stats.save_csv(args.stats_csv)
-            _progress(f"attribute cost stats written to {args.stats_csv}")
+        stats_json = dump_json(stats.to_json())  # raises before any file is written
+    _write_report(report, config.out)
+    if args.stats_out:
+        Path(args.stats_out).write_text(stats_json, encoding="utf-8")
+        _progress(f"attribute cost stats written to {args.stats_out}")
+    if args.stats_csv:
+        stats.save_csv(args.stats_csv)
+        _progress(f"attribute cost stats written to {args.stats_csv}")
     return EXIT_OK
 
 

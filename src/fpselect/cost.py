@@ -9,7 +9,6 @@ asynchronous attributes running concurrently with the sequential chain.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,6 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .catalog import dump_json
 from .dataset import Dataset
 from .errors import ConfigError
 
@@ -156,10 +156,7 @@ class AttributeCostStats:
         }
 
     def save_json(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        Path(path).write_text(dump_json(self.to_json()), encoding="utf-8")
 
     def save_csv(self, path: str | Path) -> None:
         with Path(path).open("w", newline="", encoding="utf-8") as handle:

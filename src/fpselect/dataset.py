@@ -383,7 +383,8 @@ def load_observations(path: str | Path, catalog: AttributeCatalog) -> Dataset:
                 rows = _lean_rows(handle, len(known))
                 return _fill(Dataset.__new__(Dataset), catalog, rows, empty)
             # UnicodeDecodeError and json's errors are ValueErrors.
-            except (AttributeError, KeyError, OverflowError, TypeError, ValueError):
+            except (AttributeError, KeyError, OverflowError, RecursionError,
+                    TypeError, ValueError):
                 handle.seek(0)
         try:
             rows = _checked_rows(_json_rows(path, handle), known)
@@ -414,7 +415,7 @@ def _json_rows(path: Path, handle: Iterable[str]) -> Iterator[tuple]:
             where = f"{path}:{lineno}"
             try:
                 yield where, json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise SchemaError(f"{where}: invalid JSON: {exc}") from exc
 
 
@@ -451,6 +452,21 @@ def pmf(dataset: Dataset, attrs: Iterable[str]) -> Pmf:
     population = len(stored.matrix)
     probabilities = (n / population for n in counts.tolist())
     return Pmf(canon, tuple(zip(rows.decode(), probabilities)))
+
+
+def joint_entropy_bits(dataset: Dataset, attrs: Iterable[str]) -> float:
+    """Shannon entropy of the projected stored fingerprints, in bits."""
+    canon = dataset.catalog.canonical(attrs)
+    stored = dataset.stored_codes
+    keys = stored.group_keys(column_indices(dataset.catalog.names, canon))
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    population = len(keys)
+    # Terms in order of first appearance, through math.log2 and the builtin
+    # sum: the baselines rank on these floats, and ties hinge on the last ulp.
+    return -sum(
+        (c / population) * math.log2(c / population)
+        for c in counts[np.argsort(first)].tolist()
+    )
 
 
 def consecutive_pairs(dataset: Dataset) -> list[tuple[ValueTuple, ValueTuple]]:

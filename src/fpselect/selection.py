@@ -20,15 +20,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
-import numpy as np
-
 from .cost import CostBreakdown, CostWeights, total_cost
-from .dataset import Dataset, column_indices
+from .dataset import Dataset, joint_entropy_bits
 from .errors import ConfigError
-from .sensitivity import AttackerInstance, impersonated_mask
+from .sensitivity import AttackerInstance, impersonated_mask, impersonated_share
 from .sensitivity import sensitivity  # noqa: F401  (bench/tracer.py wraps it here)
 
 AttrSet = tuple[str, ...]
@@ -240,31 +237,11 @@ class Evaluator:
         key = self.dataset.catalog.canonical(attrs)
         hit = self._cache.get(key)
         if hit is None:
-            breakdown = total_cost(key, self.dataset, self.weights)
-            hit = self._cache[key] = (breakdown, self._sensitivity(key))
+            hit = self._cache[key] = (
+                total_cost(key, self.dataset, self.weights),
+                impersonated_share(key, self.attacker, self.dataset),
+            )
         return hit
-
-    def _sensitivity(self, key: AttrSet) -> float:
-        catalog = self.dataset.catalog
-        if self._own_population and all(catalog.spec(a).matches_exactly for a in key):
-            # Each submission is one stored group's projection and reaches that
-            # group alone, so the reach is the sum of the beta largest group
-            # counts. A tie at the boundary changes who is reached, not how
-            # many, and float masses never reorder groups of unequal counts.
-            cols = column_indices(catalog.names, key)
-            keys = self.dataset.stored_codes.group_keys(cols)
-            counts = np.unique(keys, return_counts=True)[1]
-            beta = min(self.attacker.beta, len(counts))
-            return int(np.partition(counts, -beta)[-beta:].sum()) / len(keys)
-        reached = impersonated_mask(key, self.attacker, self.dataset)
-        return int(np.count_nonzero(reached)) / len(reached)
-
-    @cached_property
-    def _own_population(self) -> bool:
-        """Whether the attacker knows exactly this dataset's population PMF."""
-        # population_attacker hands out this very PMF, so no PMF is built here.
-        return (self.attacker.knowledge == "population"
-                and self.attacker.pmf == self.dataset.population_pmf)
 
     def totals(self, attrs: AttrSet) -> tuple[float, float]:
         breakdown, sens = self.evaluate(attrs)
@@ -329,21 +306,6 @@ def select_greedy(
 # ---------------------------------------------------------------------------
 # Entropy baselines
 # ---------------------------------------------------------------------------
-
-
-def joint_entropy_bits(dataset: Dataset, attrs: Iterable[str]) -> float:
-    """Shannon entropy of the projected stored fingerprints, in bits."""
-    canon = dataset.catalog.canonical(attrs)
-    stored = dataset.stored_codes
-    keys = stored.group_keys(column_indices(dataset.catalog.names, canon))
-    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
-    population = len(keys)
-    # Terms in order of first appearance, through math.log2 and the builtin
-    # sum: the baselines rank on these floats, and ties hinge on the last ulp.
-    return -sum(
-        (c / population) * math.log2(c / population)
-        for c in counts[np.argsort(first)].tolist()
-    )
 
 
 def _first_satisfying(
@@ -453,8 +415,5 @@ def evaluate(
     canon = dataset.catalog.canonical(attrs)
     breakdown = total_cost(canon, dataset, weights)
     reached = impersonated_mask(canon, attacker, dataset)
-    return Evaluation(
-        breakdown=breakdown,
-        sensitivity=int(np.count_nonzero(reached)) / len(reached),
-        impersonated=frozenset(itertools.compress(dataset.browser_ids, reached)),
-    )
+    impersonated = frozenset(itertools.compress(dataset.browser_ids, reached))
+    return Evaluation(breakdown, len(impersonated) / len(reached), impersonated)

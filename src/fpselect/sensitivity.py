@@ -233,6 +233,27 @@ def impersonated_mask(
     return _reached(catalog.canonical(attrs), attacker, catalog, dataset.stored_codes)
 
 
+def impersonated_share(
+    canon: tuple[str, ...], attacker: AttackerInstance, dataset: Dataset
+) -> float:
+    """The share of users ``attacker`` impersonates on the canonical set ``canon``."""
+    catalog = dataset.catalog
+    # Knowledge first, so no other attacker builds the population PMF; `is`,
+    # since population_attacker hands out that very cached object.
+    if (attacker.knowledge == "population" and attacker.pmf is dataset.population_pmf
+            and all(catalog.spec(a).matches_exactly for a in canon)):
+        # Each submission is one stored group's projection and reaches that
+        # group alone, so the reach is the sum of the beta largest group
+        # counts. A tie at the boundary changes who is reached, not how
+        # many, and float masses never reorder groups of unequal counts.
+        keys = dataset.stored_codes.group_keys(column_indices(catalog.names, canon))
+        counts = np.unique(keys, return_counts=True)[1]
+        beta = min(attacker.beta, len(counts))
+        return int(np.partition(counts, -beta)[-beta:].sum()) / len(keys)
+    reached = impersonated_mask(canon, attacker, dataset)
+    return int(np.count_nonzero(reached)) / len(reached)
+
+
 def impersonated_users(
     attrs: Iterable[str],
     attacker: AttackerInstance,

@@ -388,6 +388,33 @@ def _catalog_entry(tmp_path, dataset, catalog, **fields):
             "--alpha", "0.2"]
 
 
+# A JSON document nested deeper than the parser recurses.
+DEEP = "[" * 200_000 + "]" * 200_000
+
+
+def _catalog_text(tmp_path, dataset, catalog, text):
+    catalog.write_text(text)
+    return ["select", "--dataset", str(dataset), "--catalog", str(catalog),
+            "--alpha", "0.2"]
+
+
+def _surrogate_name(tmp_path, dataset, catalog):
+    """evaluate with --stats-csv after CookieEnabled is renamed, in the catalog
+    and in the dataset, to a name that holds a lone surrogate."""
+    for path in (catalog, dataset):
+        path.write_text(path.read_text().replace("CookieEnabled", "\\ud800x"))
+    return ["evaluate", "--attrs", "Screen", "--dataset", str(dataset), "--catalog",
+            str(catalog), "--alpha", "0.2", "--stats-csv", str(tmp_path / "stats.csv")]
+
+
+def _deep_line(tmp_path, dataset, catalog):
+    """evaluate after a 13th dataset line of 200,000 nested arrays."""
+    with dataset.open("a") as handle:
+        handle.write(DEEP + "\n")
+    return ["evaluate", "--attrs", "Screen", "--dataset", str(dataset),
+            "--catalog", str(catalog), "--alpha", "0.2"]
+
+
 def _file_attacker(tmp_path, dataset, catalog, entries,
                    attributes=sorted(TABLE1_ATTRS)):
     pmf = tmp_path / "pmf.json"
@@ -454,6 +481,19 @@ MALFORMED = {
         t, d, c, kind="text", match_threshold=True),
     "catalog-async-string": lambda t, d, c: _catalog_entry(t, d, c, **{
         "async": "false"}),
+    "catalog-not-an-array": lambda t, d, c: _catalog_text(t, d, c, "{}"),
+    "catalog-empty": lambda t, d, c: _catalog_text(t, d, c, "[]"),
+    "catalog-deep-nesting": lambda t, d, c: _catalog_text(t, d, c, DEEP),
+    "catalog-unknown-field": lambda t, d, c: _catalog_entry(t, d, c, colour="red"),
+    "catalog-empty-name": lambda t, d, c: _catalog_entry(t, d, c, name=""),
+    "catalog-unknown-kind": lambda t, d, c: _catalog_entry(t, d, c, kind="foo"),
+    "catalog-category-threshold": lambda t, d, c: _catalog_entry(
+        t, d, c, match_threshold=1),
+    "catalog-empty-separator": lambda t, d, c: _catalog_entry(
+        t, d, c, set_separator=""),
+    "catalog-duplicate-name": lambda t, d, c: _catalog_entry(t, d, c, name="Language"),
+    "catalog-lone-surrogate-name": _surrogate_name,
+    "dataset-deep-nesting": _deep_line,
     "pmf-probability": lambda t, d, c: _file_attacker(
         t, d, c, [{"values": ["True", "fr", "1080", "-1"], "p": "abc"}]),
     "pmf-probability-bool": lambda t, d, c: _file_attacker(
@@ -514,6 +554,15 @@ MALFORMED = {
         "evaluate", "--attrs", "Screen", "--dataset", str(d), "--catalog",
         str(c), "--alpha", "0.2", "--weights", "1e308,10,10000",
     ],
+    # Timezone's 10/6 bytes cost 1.7e308 points; the full set's 11.7 overflow.
+    **{
+        f"overflowing-stats{suffix}": lambda t, d, c, flag=flag, name=name: [
+            "evaluate", "--attrs", "Timezone", "--dataset", str(d), "--catalog",
+            str(c), "--alpha", "0.2", "--weights", "1e308,1,1", flag, str(t / name),
+        ]
+        for suffix, flag, name in (("", "--stats-out", "stats.json"),
+                                   ("-csv", "--stats-csv", "stats.csv"))
+    },
 }
 
 
@@ -529,8 +578,14 @@ def test_malformed_input_is_one_line_and_exit_3_or_4(tmp_path, capsys, case):
     assert err.startswith("fpselect: ")
     assert "Traceback" not in err
     assert not (tmp_path / "out.json").exists()
+    assert not (tmp_path / "stats.json").exists()
+    assert not (tmp_path / "stats.csv").exists()
     if case.startswith("unusable-"):
         assert str(tmp_path / "unusable") in err
+    if case.startswith("catalog-"):
+        assert f"{catalog}: " in err
+    if case == "dataset-deep-nesting":
+        assert f"{dataset}:13: invalid JSON: " in err
 
 
 @pytest.mark.parametrize("entries, entry", [

@@ -368,6 +368,20 @@ class TestCatalogFile:
                 load_catalog(path)
             assert str(refused.value).startswith(f"{path}: invalid JSON: ")
 
+    @pytest.mark.parametrize("entries, message", [
+        ([{"name": "a", "kind": "foo"}], "entry 0: attribute 'a': unknown kind 'foo'"),
+        ([{"name": "a", "kind": "set"}, {"name": "\ud800x", "kind": "set"}],
+         "entry 1: attribute name '\\ud800x' is not valid UTF-8"),
+        ([], "catalog must declare at least one attribute"),
+        ([{"name": "a", "kind": "set"}] * 2, "duplicate attribute name 'a' in catalog"),
+    ], ids=["kind", "lone-surrogate", "empty", "duplicate"])
+    def test_spec_and_catalog_faults_name_the_file(self, tmp_path, entries, message):
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps(entries))
+        with pytest.raises(SchemaError) as refused:
+            load_catalog(path)
+        assert str(refused.value).startswith(f"{path}: {message}")
+
 
 class TestDatasetValidation:
     def test_empty_observation_list_rejected(self, catalog):

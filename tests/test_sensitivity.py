@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+import itertools
 import json
 import random
 
@@ -15,15 +17,18 @@ from fpselect import (
     Observation,
     Pmf,
     SchemaError,
+    SelectionConfig,
     attacker_from_file,
     build_dictionary,
     impersonated_users,
     pmf,
     population_attacker,
+    select_exhaustive,
+    select_greedy,
     sensitivity,
     uniform_attacker,
 )
-from fpselect.sensitivity import AttackerInstance
+from fpselect.sensitivity import AttackerInstance, impersonated_share
 from fpselect.synth import SynthAttribute, SynthConfig, synthesize
 
 from conftest import make_dataset, table1_dataset
@@ -385,3 +390,43 @@ class TestAttackerFromFile:
     def test_budget_must_be_positive(self, dataset):
         with pytest.raises(ConfigError, match="beta"):
             population_attacker(dataset, beta=0)
+
+
+class TestReachPath:
+    """Which way ``impersonated_share`` counts: the top-beta group counts for
+    the dataset's own population PMF, a dictionary for any other attacker."""
+
+    def test_uniform_searches_build_no_population_pmf(self):
+        dataset = table1_dataset(repeats=2)
+        attacker = uniform_attacker(dataset, beta=2)
+        config = SelectionConfig(alpha=0.4, k=2)
+        assert not select_exhaustive(dataset, attacker, config).is_no_solution
+        assert not select_greedy(dataset, attacker, config).is_no_solution
+        assert "population_pmf" not in vars(dataset)
+
+    @pytest.mark.parametrize("beta", [1, 2, 3, 6])
+    def test_an_equal_copy_of_the_population_pmf_builds_dictionaries(
+        self, monkeypatch, beta
+    ):
+        dataset = table1_dataset()
+        p = dataset.population_pmf
+        copy = AttackerInstance(Pmf(p.attrs, p.entries), beta, knowledge="population")
+        assert copy.pmf == p and copy.pmf is not p
+        own = population_attacker(dataset, beta)
+        # The package's ``sensitivity`` is the function, so fetch the module.
+        module = importlib.import_module("fpselect.sensitivity")
+        built = []
+        original = module.build_dictionary
+
+        def counted(attacker, attrs):
+            built.append(attacker)
+            return original(attacker, attrs)
+
+        monkeypatch.setattr(module, "build_dictionary", counted)
+        names = dataset.catalog.names
+        for size in range(len(names) + 1):
+            for canon in itertools.combinations(names, size):
+                share = impersonated_share(canon, own, dataset)
+                assert impersonated_share(canon, copy, dataset) == share
+        assert len(built) == 2 ** len(names)
+        assert all(attacker is copy for attacker in built)
