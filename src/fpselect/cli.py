@@ -101,6 +101,16 @@ def _progress(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _check_path(option: str, path: str | None) -> None:
+    """Refuse a path holding a NUL or a lone surrogate, which no file can have."""
+    try:
+        if not path or b"\0" not in os.fsencode(path):
+            return
+    except UnicodeEncodeError:
+        pass
+    raise ConfigError(f"{option}: {path!r} cannot name a file")
+
+
 def _load_file_config(path: str | None) -> dict:
     if not path:
         return {}
@@ -110,6 +120,7 @@ def _load_file_config(path: str | None) -> dict:
     for key in ("dataset", "catalog", "pmf_path", "out"):
         if raw.get(key) is not None and not isinstance(raw[key], str):
             raise ConfigError(f"{key} must be a path string, got {raw[key]!r}")
+        _check_path(f"{path}: {key}", raw.get(key))
     return raw
 
 
@@ -446,6 +457,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         args = parser.parse_args(argv)
+        for dest in ("config", "dataset", "catalog", "pmf_path", "out", "trace_csv",
+                     "stats_out", "stats_csv", "write_catalog", "catalog_out"):
+            _check_path("--" + dest.replace("_", "-"), getattr(args, dest, None))
         status = args.handler(args)
     except SchemaError as exc:
         print(f"fpselect: schema error: {exc}", file=sys.stderr)

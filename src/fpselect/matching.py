@@ -53,9 +53,19 @@ def edit_distance(x: str, y: str) -> int:
     +1/-1 at row i. One pass over the longer string updates the whole
     column with a few int operations per character, and Python ints are
     as wide as the shorter string, so long strings need no blocking.
+
+    A common prefix or suffix never changes the distance, so only the
+    middles where the strings differ reach the loop. The suffix scan stops
+    where the prefix scan did, so no character is trimmed twice.
     """
     if x == y:
         return 0
+    shorter, head, tail = min(len(x), len(y)), 0, 0
+    while head < shorter and x[head] == y[head]:
+        head += 1
+    while tail < shorter - head and x[~tail] == y[~tail]:
+        tail += 1
+    x, y = x[head : len(x) - tail], y[head : len(y) - tail]
     if len(x) < len(y):
         x, y = y, x
     if not y:
@@ -299,12 +309,15 @@ def calibrate_thresholds(
 def _pair_distances(attr: AttributeSpec, values: Sequence[str]) -> Callable:
     """A function from two code arrays of ``attr`` to their values' distances.
 
-    Every distance is symmetric, so it calls ``distance`` once per distinct
-    unordered pair of codes. The calls come in first-seen order, with the
-    values in the drawn order, so the first malformed value fails as
-    without a memo.
+    Codes are equal exactly when values are, so category and dynamic
+    distances compare the code arrays. Every other distance is symmetric,
+    so it calls ``distance`` once per distinct unordered pair of codes, in
+    first-seen order with the values in the drawn order: the first
+    malformed value fails as without a memo.
     """
     kind = distance_kind_for(attr)
+    if kind is DistanceKind.KRONECKER_COMPLEMENT:
+        return lambda xs, ys: (xs != ys).astype(float).tolist()
     memo: dict[tuple[int, int], float] = {}
 
     def pair(x: int, y: int) -> float:

@@ -44,6 +44,7 @@ class SynthAttribute:
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
             raise ConfigError(f"attribute name {self.name!r} is not a non-empty string")
+        AttributeSpec(self.name, self.kind)  # refuses what a catalog would
         for param in ("cardinality", "value_bytes"):
             if type(getattr(self, param)) is not int:
                 raise ConfigError(
@@ -120,6 +121,8 @@ def load_synth_config(path: str | Path) -> SynthConfig:
         raise SchemaError(f"{path}: missing field {exc.args[0]!r}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{path}: {exc}") from exc
+    except (ConfigError, SchemaError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def synth_catalog(config: SynthConfig) -> AttributeCatalog:

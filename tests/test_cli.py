@@ -465,6 +465,24 @@ UNUSABLE_INPUTS = {
 }
 
 
+# A path no file can have, with a lone surrogate or a NUL: opening it
+# raises ValueError, not OSError.
+SURROGATE_PATH, NUL_PATH = "\ud800", "a\x00b"
+
+
+def _search(tmp_path, dataset, catalog):
+    return ["select", "--dataset", str(dataset), "--catalog", str(catalog),
+            "--alpha", "0.2"]
+
+
+def _evaluate(tmp_path, dataset, catalog):
+    return ["evaluate", "--attrs", "Screen", *_search(tmp_path, dataset, catalog)[1:]]
+
+
+def _with_flag(argv, flag, path):
+    """``argv`` on the table 1 inputs, then ``flag path``."""
+    return lambda t, d, c: [*argv(t, d, c), flag, path]
+
 MALFORMED = {
     **{
         f"unusable-{name}-{fault}": (
@@ -517,6 +535,17 @@ MALFORMED = {
     "config-pmf-path-number": lambda t, d, c: _run_config(
         t, d, c, knowledge="file", pmf_path=5),
     "config-out-number": lambda t, d, c: _run_config(t, d, c, out=5),
+    "config-out-surrogate": lambda t, d, c: _run_config(t, d, c, out=SURROGATE_PATH),
+    "config-pmf-path-nul": lambda t, d, c: _run_config(
+        t, d, c, knowledge="file", pmf_path=NUL_PATH),
+    "path-trace-csv-surrogate": _with_flag(_search, "--trace-csv", SURROGATE_PATH),
+    "path-stats-out-surrogate": _with_flag(_evaluate, "--stats-out", SURROGATE_PATH),
+    "path-stats-csv-nul": _with_flag(_evaluate, "--stats-csv", NUL_PATH),
+    "path-catalog-surrogate": _with_flag(_search, "--catalog", SURROGATE_PATH),
+    "path-write-catalog-surrogate": lambda t, d, c: [
+        *_number_calibration(t, "4"), "--write-catalog", SURROGATE_PATH],
+    "path-catalog-out-surrogate": lambda t, d, c: [
+        *_synth_config(t), "--catalog-out", SURROGATE_PATH],
     "config-alpha": lambda t, d, c: _run_config(t, d, c, alpha="x"),
     "config-alpha-bool": lambda t, d, c: _run_config(t, d, c, alpha=True),
     "config-weights": lambda t, d, c: _run_config(t, d, c, weights=["a", 1, 1]),
@@ -634,6 +663,53 @@ def test_output_in_a_missing_directory_is_a_config_error(
     assert "Traceback" not in err
     assert err.splitlines()[-1].startswith("fpselect: invalid configuration: ")
     assert str(missing) in err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("bad", [SURROGATE_PATH, NUL_PATH], ids=["surrogate", "nul"])
+@pytest.mark.parametrize("flag", ["--config", "--dataset", "--catalog", "--pmf-path",
+                                  "--out", "--trace-csv", "--stats-out", "--stats-csv",
+                                  "--write-catalog", "synth --config", "synth --out",
+                                  "--catalog-out", "run config out"])
+def test_a_path_no_file_can_have_is_refused_before_any_input_is_read(
+    tmp_path, capsys, flag, bad
+):
+    # Every input is missing, so reading any of them first fails differently.
+    missing = str(tmp_path / "missing")
+    inputs = ["--dataset", missing, "--catalog", missing]
+    run = tmp_path / "run.json"
+    run.write_text(json.dumps({"dataset": missing, "catalog": missing, "out": bad}))
+    argv = {
+        "--write-catalog": ["calibrate", *inputs],
+        "synth --config": ["synth", "--out", missing],
+        "synth --out": ["synth", "--config", missing],
+        "--catalog-out": ["synth", "--config", missing, "--out", missing],
+        "run config out": ["select", "--alpha", "0.5", "--config", str(run)],
+    }.get(flag, ["evaluate", "--attrs", "a", *inputs, "--alpha", "0.5"])
+    if flag != "run config out":
+        argv = [*argv, flag.split()[-1], bad]
+    option = f"{run}: out" if flag == "run config out" else flag.split()[-1]
+    capsys.readouterr()
+    assert main(argv) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"fpselect: invalid configuration: {option}: {bad!r} cannot name a file\n"
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"cardinality": 0}, "attribute 'alpha': cardinality must be >= 1"),
+    ({"name": "\ud800x"}, "attribute name '\\ud800x' is not valid UTF-8"),
+    ({"kind": "foo"}, "attribute 'alpha': unknown kind 'foo' (expected one of"
+                      " text, set, number, category, dynamic)"),
+    ({"copy_of": "omega"}, "attribute 'alpha' copies unknown attribute 'omega'"),
+    ({"browsers": 0}, "browsers must be >= 1"),
+], ids=["attribute", "lone-surrogate-name", "kind", "copy", "config"])
+def test_generator_config_faults_name_the_file(tmp_path, capsys, fields, message):
+    out = tmp_path / "out.jsonl"
+    argv = [*_synth_config(tmp_path, **fields), "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == EXIT_BAD_CONFIG
+    assert capsys.readouterr().err == (
+        f"fpselect: invalid configuration: {tmp_path / 'generator.json'}: {message}\n")
+    assert not out.exists()
 
 
 def test_search_commands_count_exact_population_reach(tmp_path, monkeypatch):

@@ -43,7 +43,12 @@ from fpselect import (
     uniform_attacker,
 )
 from fpselect.dataset import encode_rows, load_observations
-from fpselect.matching import edit_distance
+from fpselect.matching import (
+    _pair_distances,
+    distance,
+    distance_kind_for,
+    edit_distance,
+)
 from fpselect.selection import Evaluator
 from fpselect.sensitivity import AttackerInstance, impersonated_mask
 
@@ -488,19 +493,30 @@ def text_pairs(draw):
 
     A small alphabet makes matches common. The length is drawn first, as
     ``st.text`` alone rarely draws long strings. The pair is independent,
-    equal, sharing a long prefix, one side empty, or very unequal in length.
+    equal, sharing a long prefix or suffix or both, one side empty, or very
+    unequal in length. Half the pairs that share both affixes use one
+    character, so that the shorter string's common prefix and common suffix
+    overlap, as in "aa" and "aaa".
     """
     alphabet = draw(st.lists(CHARACTERS, min_size=1, max_size=6, unique=True))
+    shape = draw(st.sampled_from(["independent", "equal", "prefix", "suffix",
+                                  "affix", "empty", "unequal"]))
+    if shape == "affix" and draw(st.booleans()):
+        alphabet = alphabet[:1]
 
     def text(low, high):
         size = draw(st.integers(low, high))
         return draw(st.text(alphabet=alphabet, min_size=size, max_size=size))
 
-    shape = draw(st.sampled_from(["independent", "equal", "prefix", "empty",
-                                  "unequal"]))
     if shape == "prefix":
         x = text(48, 80)
         y = x[: draw(st.integers(len(x) - 8, len(x)))] + text(0, 8)
+    elif shape == "suffix":
+        x = text(48, 80)
+        y = text(0, 8) + x[draw(st.integers(0, 8)) :]
+    elif shape == "affix":
+        prefix, suffix = text(0, 36), text(0, 36)
+        x, y = prefix + text(0, 8) + suffix, prefix + text(0, 8) + suffix
     elif shape == "unequal":
         x, y = text(56, 80), text(0, 4)
     else:
@@ -514,6 +530,22 @@ def text_pairs(draw):
 def test_edit_distance_matches_the_table(pair):
     x, y = pair
     assert edit_distance(x, y) == reference.edit_distance(x, y)
+
+
+@pytest.mark.parametrize("kind", ["category", "dynamic"])
+def test_kronecker_pair_distances_compare_codes(kind):
+    # Values that differ only by a NUL or case, in code order, and code
+    # arrays as a dataset's column holds them.
+    values = ("", "A", "a", "a\x00", "é")
+    rng = random.Random(7)
+    xs, ys = (np.array([rng.randrange(len(values)) for _ in range(60)], dtype=np.int64)
+              for _ in range(2))
+    spec = AttributeSpec("x", kind)
+    got = _pair_distances(spec, list(values))(xs, ys)
+    assert got == [distance(distance_kind_for(spec), values[x], values[y])
+                   for x, y in zip(xs.tolist(), ys.tolist())]
+    assert {type(d) for d in got} == {float}
+    assert 0.0 in got and 1.0 in got
 
 
 def test_group_keys_renumber_before_overflow():
