@@ -19,6 +19,10 @@ from .errors import ConfigError, SchemaError
 
 VALUE_KINDS = ("text", "set", "number", "category", "dynamic")
 
+# Each key of a catalog file entry and the ``AttributeSpec`` field it holds.
+FILE_KEYS = {"name": "name", "kind": "kind", "async": "is_async",
+             "match_threshold": "match_threshold", "set_separator": "set_separator"}
+
 
 def as_int(value) -> int:
     """``int(value)``, but a boolean or a fractional number raises ``ValueError``."""
@@ -158,11 +162,10 @@ def load_catalog(path: str | Path) -> AttributeCatalog:
     if not isinstance(raw, list):
         raise SchemaError(f"{path}: catalog must be a JSON array")
     specs = []
-    allowed = {"name", "kind", "async", "set_separator", "match_threshold"}
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict):
             raise SchemaError(f"{path}: entry {i} is not an object")
-        extra = set(entry) - allowed
+        extra = set(entry) - FILE_KEYS.keys()
         if extra:
             raise SchemaError(f"{path}: entry {i}: unknown field {sorted(extra)[0]!r}")
         for required in ("name", "kind"):
@@ -179,14 +182,10 @@ def load_catalog(path: str | Path) -> AttributeCatalog:
             ) from None
         if not isinstance(entry.get("async", False), bool):
             raise SchemaError(f"{path}: entry {i}: async must be true or false")
+        spec_fields = {FILE_KEYS[key]: value for key, value in entry.items()}
+        spec_fields["match_threshold"] = threshold
         try:
-            specs.append(AttributeSpec(
-                name=entry["name"],
-                kind=entry["kind"],
-                is_async=entry.get("async", False),
-                match_threshold=threshold,
-                set_separator=entry.get("set_separator", ";"),
-            ))
+            specs.append(AttributeSpec(**spec_fields))
         except SchemaError as exc:
             raise SchemaError(f"{path}: entry {i}: {exc}") from exc
     try:
@@ -198,14 +197,8 @@ def load_catalog(path: str | Path) -> AttributeCatalog:
 def catalog_to_json(catalog: AttributeCatalog) -> list[dict]:
     """Catalog in its file representation (canonical order)."""
     return [
-        {
-            "name": s.name,
-            "kind": s.kind,
-            "async": s.is_async,
-            "match_threshold": s.match_threshold,
-            "set_separator": s.set_separator,
-        }
-        for s in catalog.attributes
+        {key: getattr(spec, name) for key, name in FILE_KEYS.items()}
+        for spec in catalog.attributes
     ]
 
 

@@ -17,14 +17,14 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
 from .catalog import as_float, as_int, dump_json, load_catalog, read_json, save_catalog
 from .cost import CostWeights, attribute_cost_stats
 from .dataset import Dataset, load_observations, save_dataset
-from .errors import ConfigError, FpselectError, SchemaError
+from .errors import ConfigError, SchemaError
 from .matching import calibrate_thresholds
 from .selection import (
     SelectionConfig,
@@ -84,17 +84,11 @@ class RunConfig:
             raise ConfigError("knowledge 'file' requires --pmf-path")
 
     def to_report_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "dataset": self.dataset,
-            "catalog": self.catalog,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "k": self.k,
-            "weights": list(self.weights.as_tuple()),
-            "knowledge": self.knowledge,
-            "seed": self.seed,
-        }
+        """Every field but the PMF and report paths, with the weights as a list."""
+        config = {f.name: getattr(self, f.name) for f in fields(self)
+                  if f.name not in ("pmf_path", "out")}
+        config["weights"] = list(self.weights.as_tuple())
+        return config
 
 
 def _progress(message: str) -> None:
@@ -307,6 +301,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     config = _build_run_config(args, "evaluate")
     dataset, attacker = _load_inputs(config)
+    SelectionConfig(config.alpha)  # refuses the alpha the searches refuse
     attrs = [a for a in args.attrs.split(",") if a]
     evaluation = evaluate(attrs, dataset, attacker, config.weights)
     report = {
@@ -466,9 +461,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_SCHEMA_ERROR
     except (ConfigError, OSError) as exc:
         print(f"fpselect: invalid configuration: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-    except FpselectError as exc:
-        print(f"fpselect: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     elapsed_ms = (time.perf_counter() - started) * 1000
     _progress(f"completed in {elapsed_ms:.0f} ms")

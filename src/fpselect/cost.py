@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -30,11 +30,7 @@ class CostWeights:
     instability_per_change: float = 10_000.0
 
     def __post_init__(self) -> None:
-        for label, value in (
-            ("memory_per_byte", self.memory_per_byte),
-            ("time_per_ms", self.time_per_ms),
-            ("instability_per_change", self.instability_per_change),
-        ):
+        for label, value in asdict(self).items():
             if not 0 < value < math.inf:
                 raise ConfigError(
                     f"cost weight {label} must be finite and strictly positive"
@@ -60,7 +56,7 @@ class CostWeights:
         return cls(*values)
 
     def as_tuple(self) -> tuple[float, float, float]:
-        return (self.memory_per_byte, self.time_per_ms, self.instability_per_change)
+        return astuple(self)
 
 
 @dataclass(frozen=True)
@@ -71,12 +67,7 @@ class CostBreakdown:
     total_points: float
 
     def to_dict(self) -> dict[str, float]:
-        return {
-            "memory_bytes": self.memory_bytes,
-            "time_ms": self.time_ms,
-            "instability_changes": self.instability_changes,
-            "total_points": self.total_points,
-        }
+        return asdict(self)
 
 
 def mem_cost(attrs: Iterable[str], dataset: Dataset) -> float:
@@ -144,54 +135,28 @@ class AttributeCostStats:
     maximum: CostBreakdown
 
     def to_json(self) -> dict:
-        return {
-            "per_attribute": {
-                name: self.per_attribute[name].to_dict()
-                for name in sorted(self.per_attribute)
-            },
-            "candidate_set": self.candidate_set.to_dict(),
-            "minimum": self.minimum.to_dict(),
-            "average": self.average.to_dict(),
-            "maximum": self.maximum.to_dict(),
-        }
+        return asdict(self)
 
     def save_json(self, path: str | Path) -> None:
         Path(path).write_text(dump_json(self.to_json()), encoding="utf-8")
 
     def save_csv(self, path: str | Path) -> None:
+        rows = [(name, self.per_attribute[name]) for name in sorted(self.per_attribute)]
+        rows += [("<candidate set>", self.candidate_set), ("<minimum>", self.minimum),
+                 ("<average>", self.average), ("<maximum>", self.maximum)]
         with Path(path).open("w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
-            writer.writerow(
-                ["attribute", "memory_bytes", "time_ms",
-                 "instability_changes", "total_points"]
-            )
-            for name in sorted(self.per_attribute):
-                b = self.per_attribute[name]
-                writer.writerow(
-                    [name, b.memory_bytes, b.time_ms,
-                     b.instability_changes, b.total_points]
-                )
-            for label, b in (
-                ("<candidate set>", self.candidate_set),
-                ("<minimum>", self.minimum),
-                ("<average>", self.average),
-                ("<maximum>", self.maximum),
-            ):
-                writer.writerow(
-                    [label, b.memory_bytes, b.time_ms,
-                     b.instability_changes, b.total_points]
-                )
+            writer.writerow(["attribute", *(f.name for f in fields(CostBreakdown))])
+            writer.writerows([label, *astuple(b)] for label, b in rows)
 
 
 def _dimension_wise(
     breakdowns: Sequence[CostBreakdown], reducer
 ) -> CostBreakdown:
-    return CostBreakdown(
-        memory_bytes=reducer(b.memory_bytes for b in breakdowns),
-        time_ms=reducer(b.time_ms for b in breakdowns),
-        instability_changes=reducer(b.instability_changes for b in breakdowns),
-        total_points=reducer(b.total_points for b in breakdowns),
-    )
+    return CostBreakdown(**{
+        f.name: reducer(getattr(b, f.name) for b in breakdowns)
+        for f in fields(CostBreakdown)
+    })
 
 
 def attribute_cost_stats(dataset: Dataset, weights: CostWeights) -> AttributeCostStats:

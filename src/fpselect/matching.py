@@ -18,8 +18,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .catalog import AttributeCatalog, AttributeSpec
 from .dataset import Dataset
 from .errors import ConfigError, SchemaError
@@ -257,11 +255,8 @@ def calibrate_thresholds(
     if windows < 1:
         raise ConfigError("windows must be >= 1")
     catalog, coded = dataset.catalog, dataset.codes
-    # The pair index runs browser by browser: one with n observations owns
-    # the next n - 1.
     members = dataset.browser_rows
-    window = np.repeat([b % windows for b in range(len(members))],
-                       [len(ix) - 1 for ix in members])
+    window = dataset._ordinals[dataset._pairs[0]] % windows
     measures = [_pair_distances(attr, list(lookup))
                 for attr, lookup in zip(catalog.attributes, coded.lookup)]
 

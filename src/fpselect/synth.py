@@ -55,8 +55,11 @@ class SynthAttribute:
                 raise ConfigError(f"attribute {self.name!r}: {param} must be a number")
         if self.copy_of is None and self.cardinality < 1:
             raise ConfigError(f"attribute {self.name!r}: cardinality must be >= 1")
-        if self.zipf_skew < 0:
+        if not self.zipf_skew >= 0:
             raise ConfigError(f"attribute {self.name!r}: zipf_skew must be >= 0")
+        if self.copy_of is None and not self.cardinality ** -self.zipf_skew > 0:
+            raise ConfigError(f"attribute {self.name!r}: zipf_skew {self.zipf_skew}"
+                              f" leaves some of {self.cardinality} values out")
         if not 0.0 <= self.change_prob <= 1.0:
             raise ConfigError(f"attribute {self.name!r}: change_prob outside [0, 1]")
         if not 0 <= self.mean_collect_ms < math.inf:
@@ -150,8 +153,6 @@ def _value_pool(attr: SynthAttribute, cardinality: int) -> list[str]:
 def _rank_weights(cardinality: int, skew: float) -> np.ndarray:
     ranks = np.arange(1, cardinality + 1, dtype=float)
     weights = ranks ** -skew
-    if not (weights > 0).all():
-        raise ConfigError(f"zipf_skew {skew} leaves some of {cardinality} values out")
     return weights / weights.sum()
 
 

@@ -25,7 +25,7 @@ from fpselect.cli import (
     main,
 )
 
-from conftest import TABLE1_ATTRS, write_table1_files
+from conftest import TABLE1_ATTRS, TABLE1_ROWS, write_table1_files
 
 
 GENERATOR_CONFIG = {
@@ -353,6 +353,63 @@ class TestSynthCommand:
         assert status == EXIT_BAD_CONFIG
 
 
+PINNED = Path(__file__).parent / "data" / "pinned"
+
+# The table 1 attributes under a catalog that sets every file key.
+EVERY_KEY_CATALOG = [
+    {"name": "CookieEnabled", "kind": "category", "async": True},
+    {"name": "Language", "kind": "text", "match_threshold": 1},
+    {"name": "Screen", "kind": "set", "set_separator": "|"},
+    {"name": "Timezone", "kind": "number", "match_threshold": 0.5},
+]
+
+# Run in order in one directory; each writes files named as in ``PINNED``.
+PINNED_RUNS = [
+    ["evaluate", "--attrs", "Language,Screen", "--dataset", "dataset.jsonl",
+     "--catalog", "catalog.json", "--alpha", "0.5", "--out", "table1-evaluate.json",
+     "--stats-out", "table1-stats.json", "--stats-csv", "table1-stats.csv"],
+    ["calibrate", "--dataset", "dataset.jsonl", "--catalog", "catalog.json",
+     "--windows", "2", "--out", "table1-calibration.json",
+     "--write-catalog", "table1-calibrated-catalog.json"],
+    ["synth", "--config", "generator.json", "--seed", "3", "--out", "synth.jsonl",
+     "--catalog-out", "synth-catalog.json"],
+    ["evaluate", "--attrs", "alpha,gamma", "--dataset", "synth.jsonl",
+     "--catalog", "synth-catalog.json", "--alpha", "0.5", "--beta", "2",
+     "--weights", "2,3,5", "--seed", "7", "--out", "synth-evaluate.json",
+     "--stats-out", "synth-stats.json", "--stats-csv", "synth-stats.csv"],
+    ["calibrate", "--dataset", "synth.jsonl", "--catalog", "synth-catalog.json",
+     "--windows", "3", "--seed", "1", "--out", "synth-calibration.json",
+     "--write-catalog", "synth-calibrated-catalog.json"],
+]
+
+
+def _write_pinned_files(directory):
+    """Run ``PINNED_RUNS`` in ``directory``: on the table 1 inputs under
+    ``EVERY_KEY_CATALOG``, with u3 drifting over two more observations, and
+    on the generator config."""
+    dataset, catalog = write_table1_files(directory, repeats=2)
+    with dataset.open("a") as handle:
+        for seq, timezone in ((2, "2"), (3, "-2")):
+            values = dict(zip(TABLE1_ATTRS, TABLE1_ROWS["u3"]), Timezone=timezone)
+            handle.write(json.dumps({"browser_id": "u3", "seq": seq, "values": values,
+                                     "collect_ms": {"Screen": 1.5 * seq}}) + "\n")
+    catalog.write_text(json.dumps(EVERY_KEY_CATALOG))
+    (directory / "generator.json").write_text(json.dumps(GENERATOR_CONFIG))
+    for argv in PINNED_RUNS:
+        assert main(argv) == EXIT_OK
+
+
+def test_written_files_keep_their_bytes(tmp_path, monkeypatch):
+    """Reports, cost stats and catalogs keep their bytes."""
+    monkeypatch.chdir(tmp_path)  # relative paths, so reports name no tmp_path
+    _write_pinned_files(tmp_path)
+    pinned = sorted(path.name for path in PINNED.iterdir())
+    assert len(pinned) == 11
+    changed = [name for name in pinned
+               if (tmp_path / name).read_bytes() != (PINNED / name).read_bytes()]
+    assert changed == []
+
+
 def _number_calibration(tmp_path, value):
     """calibrate argv for a number attribute that holds ``value`` once."""
     catalog = tmp_path / "number-catalog.json"
@@ -407,10 +464,10 @@ def _surrogate_name(tmp_path, dataset, catalog):
             str(catalog), "--alpha", "0.2", "--stats-csv", str(tmp_path / "stats.csv")]
 
 
-def _deep_line(tmp_path, dataset, catalog):
-    """evaluate after a 13th dataset line of 200,000 nested arrays."""
+def _dataset_line(tmp_path, dataset, catalog, line):
+    """evaluate after a 13th dataset line of ``line``."""
     with dataset.open("a") as handle:
-        handle.write(DEEP + "\n")
+        handle.write(line + "\n")
     return ["evaluate", "--attrs", "Screen", "--dataset", str(dataset),
             "--catalog", str(catalog), "--alpha", "0.2"]
 
@@ -440,6 +497,13 @@ def _synth_config(tmp_path, browsers=24, observations_per_browser=2, **attribute
         "attributes": [{**first, **attribute}, *rest],
     }))
     return ["synth", "--config", str(config)]
+
+
+def _config_text(tmp_path, command, text):
+    """``command --config`` on a config file that holds ``text``."""
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    return [command, "--config", str(config)]
 
 
 def _unusable(tmp_path, dataset, catalog, argv, fault):
@@ -510,8 +574,11 @@ MALFORMED = {
     "catalog-empty-separator": lambda t, d, c: _catalog_entry(
         t, d, c, set_separator=""),
     "catalog-duplicate-name": lambda t, d, c: _catalog_entry(t, d, c, name="Language"),
+    "catalog-threshold-negative": lambda t, d, c: _catalog_entry(
+        t, d, c, match_threshold=-1),
     "catalog-lone-surrogate-name": _surrogate_name,
-    "dataset-deep-nesting": _deep_line,
+    "dataset-deep-nesting": lambda t, d, c: _dataset_line(t, d, c, DEEP),
+    "dataset-row-array": lambda t, d, c: _dataset_line(t, d, c, "[1, 2]"),
     "pmf-probability": lambda t, d, c: _file_attacker(
         t, d, c, [{"values": ["True", "fr", "1080", "-1"], "p": "abc"}]),
     "pmf-probability-bool": lambda t, d, c: _file_attacker(
@@ -549,6 +616,17 @@ MALFORMED = {
     "config-alpha": lambda t, d, c: _run_config(t, d, c, alpha="x"),
     "config-alpha-bool": lambda t, d, c: _run_config(t, d, c, alpha=True),
     "config-weights": lambda t, d, c: _run_config(t, d, c, weights=["a", 1, 1]),
+    "config-array": lambda t, d, c: _config_text(t, "select", "[]"),
+    "no-dataset": lambda t, d, c: ["select", "--catalog", str(c), "--alpha", "0.2"],
+    "file-knowledge-without-pmf": _with_flag(_search, "--knowledge", "file"),
+    "select-threads-zero": _with_flag(_search, "--threads", "0"),
+    **{
+        f"evaluate-alpha-{alpha}": _with_flag(_evaluate, "--alpha", alpha)
+        for alpha in ("7", "-1", "nan")
+    },
+    "calibrate-no-dataset": lambda t, d, c: ["calibrate", "--catalog", str(c)],
+    "calibrate-windows-zero": lambda t, d, c: [
+        "calibrate", "--dataset", str(d), "--catalog", str(c), "--windows", "0"],
     "synth-browsers": lambda t, d, c: _synth_config(t, browsers="x"),
     "synth-browsers-overflow": lambda t, d, c: _synth_config(t, browsers="HUGE"),
     "synth-browsers-fraction": lambda t, d, c: _synth_config(t, browsers=24.9),
@@ -566,6 +644,16 @@ MALFORMED = {
     "synth-skew-bool": lambda t, d, c: _synth_config(t, zipf_skew=True),
     "synth-collect-ms-bool": lambda t, d, c: _synth_config(
         t, mean_collect_ms=True),
+    "synth-collect-ms-overflow": lambda t, d, c: _synth_config(
+        t, mean_collect_ms="HUGE"),
+    "synth-skew-negative": lambda t, d, c: _synth_config(t, zipf_skew=-1),
+    "synth-no-observations": lambda t, d, c: _synth_config(
+        t, observations_per_browser=0),
+    "synth-duplicate-name": lambda t, d, c: _synth_config(t, name="beta"),
+    "synth-copy-of-a-copy": lambda t, d, c: _synth_config(t, copy_of="alpha"),
+    "synth-array": lambda t, d, c: _config_text(t, "synth", "[]"),
+    "synth-no-browsers": lambda t, d, c: _config_text(t, "synth", json.dumps(
+        {key: value for key, value in GENERATOR_CONFIG.items() if key != "browsers"})),
     "calibrate-text-number": lambda t, d, c: _number_calibration(t, "x"),
     "calibrate-nan": lambda t, d, c: _number_calibration(t, "nan"),
     "calibrate-inf": lambda t, d, c: _number_calibration(t, "inf"),
@@ -615,6 +703,19 @@ def test_malformed_input_is_one_line_and_exit_3_or_4(tmp_path, capsys, case):
         assert f"{catalog}: " in err
     if case == "dataset-deep-nesting":
         assert f"{dataset}:13: invalid JSON: " in err
+
+
+@pytest.mark.parametrize("alpha", ["7", "-1", "nan"])
+@pytest.mark.parametrize("command", ["select", "baseline --method entropy", "oracle",
+                                     "evaluate --attrs Screen"])
+def test_every_command_refuses_an_alpha_outside_0_1(tmp_path, capsys, command, alpha):
+    dataset, catalog = write_table1_files(tmp_path, repeats=2)
+    argv = [*command.split(), "--dataset", str(dataset), "--catalog", str(catalog),
+            "--alpha", alpha]
+    capsys.readouterr()
+    assert main(argv) == EXIT_BAD_CONFIG
+    assert capsys.readouterr() == ("", "fpselect: invalid configuration: sensitivity"
+                                       " threshold alpha must be in (0, 1]\n")
 
 
 @pytest.mark.parametrize("entries, entry", [
@@ -701,7 +802,11 @@ def test_a_path_no_file_can_have_is_refused_before_any_input_is_read(
                       " text, set, number, category, dynamic)"),
     ({"copy_of": "omega"}, "attribute 'alpha' copies unknown attribute 'omega'"),
     ({"browsers": 0}, "browsers must be >= 1"),
-], ids=["attribute", "lone-surrogate-name", "kind", "copy", "config"])
+    ({"zipf_skew": 2000}, "attribute 'alpha': zipf_skew 2000 leaves some of 6"
+                          " values out"),
+    ({"zipf_skew": float("nan")}, "attribute 'alpha': zipf_skew must be >= 0"),
+], ids=["attribute", "lone-surrogate-name", "kind", "copy", "config", "skew-underflow",
+        "skew-nan"])
 def test_generator_config_faults_name_the_file(tmp_path, capsys, fields, message):
     out = tmp_path / "out.jsonl"
     argv = [*_synth_config(tmp_path, **fields), "--out", str(out)]
