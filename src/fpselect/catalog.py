@@ -98,11 +98,10 @@ class AttributeSpec:
     @property
     def matches_exactly(self) -> bool:
         """True when matching this attribute reduces to string equality."""
-        if self.kind == "dynamic":
-            return True
-        # Category distances are 0/1 and text distances are integers, so a
-        # threshold below 1 only accepts distance 0, i.e. identical strings.
-        return self.kind in ("category", "text") and self.match_threshold < 1
+        # Category and dynamic distances are 0/1 and text distances are
+        # integers, so a threshold below 1 only accepts distance 0, i.e.
+        # identical strings; __post_init__ keeps category and dynamic ones there.
+        return self.kind in ("category", "dynamic", "text") and self.match_threshold < 1
 
 
 @dataclass(frozen=True)

@@ -148,14 +148,13 @@ def _build_run_config(args: argparse.Namespace, method: str) -> RunConfig:
     if isinstance(weights_text, list):
         weights_text = ",".join(map(str, weights_text))
     weights = CostWeights.parse(str(weights_text))
-    alpha = _pick(args.alpha, file_config, "alpha", 0, convert=as_float)
-    if alpha == 0:
+    if _pick(args.alpha, file_config, "alpha", None) is None:
         raise ConfigError("missing --alpha")
     return RunConfig(
         method=method,
         dataset=_pick(args.dataset, file_config, "dataset", "", ENV_DATASET),
         catalog=_pick(args.catalog, file_config, "catalog", "", ENV_CATALOG),
-        alpha=alpha,
+        alpha=_pick(args.alpha, file_config, "alpha", None, convert=as_float),
         beta=_pick(args.beta, file_config, "beta", 1, convert=as_int),
         k=_pick(getattr(args, "k", None), file_config, "k", 1, convert=as_int),
         weights=weights,
@@ -185,23 +184,12 @@ def _load_inputs(config: RunConfig) -> tuple[Dataset, AttackerInstance]:
 
 
 def _trace_to_json(result: SelectionResult) -> list[dict]:
-    out = []
-    for state in result.trace:
-        out.append(
-            {
-                "stage": state.stage,
-                "expanded": [list(s) for s in state.expanded],
-                "satisfying": [list(s) for s in state.satisfying],
-                "frontier": [list(s) for s in state.frontier],
-                "pruned": [list(s) for s in state.pruned],
-                "best_satisfying_cost": (
-                    None
-                    if math.isinf(state.best_satisfying_cost)
-                    else state.best_satisfying_cost
-                ),
-            }
-        )
-    return out
+    return [
+        {**vars(state), "best_satisfying_cost": (
+            None if math.isinf(state.best_satisfying_cost)
+            else state.best_satisfying_cost)}
+        for state in result.trace
+    ]
 
 
 def _selection_report(result: SelectionResult, config: RunConfig) -> dict:
@@ -302,12 +290,15 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     config = _build_run_config(args, "evaluate")
     dataset, attacker = _load_inputs(config)
     SelectionConfig(config.alpha)  # refuses the alpha the searches refuse
-    attrs = [a for a in args.attrs.split(",") if a]
+    try:
+        attrs = dataset.catalog.canonical(a for a in args.attrs.split(",") if a)
+    except SchemaError as exc:  # the flag is at fault, not a file
+        raise ConfigError(f"--attrs: {exc}") from None
     evaluation = evaluate(attrs, dataset, attacker, config.weights)
     report = {
         "method": "evaluate",
         "config": config.to_report_dict(),
-        "attributes": list(dataset.catalog.canonical(attrs)),
+        "attributes": list(attrs),
         "cost_breakdown": evaluation.breakdown.to_dict(),
         "sensitivity": evaluation.sensitivity,
         "impersonated_users": sorted(evaluation.impersonated),

@@ -423,18 +423,7 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
     """Write observations back out as JSON Lines."""
     with Path(path).open("w", encoding="utf-8") as handle:
         for obs in dataset.observations:
-            handle.write(
-                json.dumps(
-                    {
-                        "browser_id": obs.browser_id,
-                        "seq": obs.seq,
-                        "values": dict(obs.values),
-                        "collect_ms": dict(obs.collect_ms),
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+            handle.write(json.dumps(vars(obs), sort_keys=True) + "\n")
 
 
 def pmf(dataset: Dataset, attrs: Iterable[str]) -> Pmf:

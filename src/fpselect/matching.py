@@ -16,6 +16,7 @@ import random
 import statistics
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import Callable, Sequence
 
 from .catalog import AttributeCatalog, AttributeSpec
@@ -125,8 +126,6 @@ def distance(kind: DistanceKind, x: str, y: str, separator: str = ";") -> float:
 
 def attr_match(spec: AttributeSpec, stored: str, submitted: str) -> bool:
     """Whether the submitted value is accepted as an evolution of the stored one."""
-    if spec.kind == "dynamic":
-        return stored == submitted
     try:
         d = distance(distance_kind_for(spec), stored, submitted, spec.set_separator)
     except ValueError:
@@ -209,26 +208,16 @@ def max_margin_threshold(
     neg = sorted(negatives)
     values = sorted(set(pos) | set(neg))
 
-    best: tuple[float, float, float] | None = None  # (errors, -margin, t)
-    for i in range(len(values) + 1):
-        if i == 0:
-            if values[0] <= 0:
-                continue  # thresholds are non-negative
-            t = values[0] / 2.0
-            margin = t
-        elif i == len(values):
-            t = values[-1]
-            margin = 0.0
-        else:
-            lo, hi = values[i - 1], values[i]
-            t = (lo + hi) / 2.0
-            margin = (hi - lo) / 2.0
+    def key(t: float, margin: float) -> tuple[int, float, float]:
         errors = (len(pos) - bisect_right(pos, t)) + bisect_right(neg, t)
-        key = (float(errors), -margin, t)
-        if best is None or key < best:
-            best = key
-    assert best is not None
-    return best[2]
+        return errors, -margin, t
+
+    # Half the smallest distance (thresholds are non-negative), the midpoint
+    # of each adjacent pair, and the largest distance with no margin.
+    keys = [key(values[0] / 2.0, values[0] / 2.0)] if values[0] > 0 else []
+    keys += [key((lo + hi) / 2.0, (hi - lo) / 2.0) for lo, hi in pairwise(values)]
+    keys.append(key(values[-1], 0.0))
+    return min(keys)[2]
 
 
 def _derived_rng(seed: int, window: int, attribute: str) -> random.Random:

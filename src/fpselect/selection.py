@@ -135,19 +135,10 @@ def greedy_lattice_search(
         return hit
 
     candidate_cost, candidate_sensitivity = measured(names)
-    if candidate_sensitivity > alpha:
-        return LatticeSearchOutcome(
-            chosen=None,
-            chosen_cost=math.nan,
-            candidate_sensitivity=candidate_sensitivity,
-            explored_count=len(cache),
-            trace=(),
-        )
-
     best_cost = math.inf
     satisfying: list[AttrSet] = []
     pruned: list[AttrSet] = []
-    frontier: list[AttrSet] = [() for _ in range(k)]
+    frontier: list[AttrSet] = [()] if candidate_sensitivity <= alpha else []
     trace: list[SearchState] = []
     stage = 0
 
@@ -190,10 +181,10 @@ def greedy_lattice_search(
             )
         )
 
-    chosen = min(satisfying, key=lambda s: (measured(s)[0], s))
+    chosen = min(satisfying, key=lambda s: (measured(s)[0], s), default=None)
     return LatticeSearchOutcome(
         chosen=chosen,
-        chosen_cost=measured(chosen)[0],
+        chosen_cost=math.nan if chosen is None else measured(chosen)[0],
         candidate_sensitivity=candidate_sensitivity,
         explored_count=len(cache),
         trace=tuple(trace),

@@ -159,9 +159,11 @@ def build_dictionary(attacker: AttackerInstance, attrs: Iterable[str]) -> Dictio
     domains = attacker.product_domains
     if domains is not None:
         projected = [domains[c] for c in cols]
-        top = tuple(itertools.islice(itertools.product(*projected), attacker.beta))
+        size = math.prod(map(len, projected))
+        top = tuple(itertools.islice(itertools.product(*projected),
+                                     min(attacker.beta, size)))
         # Each group's m equal weights, added one by one as bincount does.
-        m = len(attacker.pmf.entries) // math.prod(map(len, projected))
+        m = len(attacker.pmf.entries) // size
         mass = np.full(m, attacker.pmf.entries[0][1]).cumsum()[-1].item()
         return Dictionary(attrs=target, entries=top, probabilities=(mass,) * len(top))
     coded, probabilities = attacker.coded

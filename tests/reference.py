@@ -9,7 +9,9 @@ columns, ``Dataset.attribute_byte_totals``,
 every ``Observation.values`` dict, as does ``calibrate_thresholds``, which
 also computes a distance for every pair it draws. ``edit_distance`` is the
 Levenshtein table from before the bit-parallel kernel, and calibration's
-text distances go through it.
+text distances go through it. ``max_margin_threshold`` is the index loop
+over the candidate thresholds from before it became one ``min``, and
+calibration's thresholds go through it.
 
 ``load_observations`` is the row loader from before the loader wrote code
 columns: it checks each JSON line into an ``Observation`` and then checks
@@ -28,6 +30,7 @@ import json
 import math
 import random
 import statistics
+from bisect import bisect_right
 from collections import Counter
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -53,7 +56,6 @@ from fpselect.matching import (
     _derived_rng,
     distance,
     distance_kind_for,
-    max_margin_threshold,
 )
 from fpselect.sensitivity import AttackerInstance, Dictionary, UserMapping
 
@@ -316,6 +318,39 @@ def attribute_change_counts(dataset: Dataset) -> dict[str, int]:
             if earlier.values[a] != later.values[a]:
                 counts[a] += 1
     return counts
+
+
+def max_margin_threshold(
+    positives: Sequence[float], negatives: Sequence[float]
+) -> float:
+    """The threshold with the fewest misclassifications, then the widest
+    margin, then the smallest value, found by walking the candidates."""
+    if not positives or not negatives:
+        raise ConfigError("both distance classes must be non-empty")
+    pos = sorted(positives)
+    neg = sorted(negatives)
+    values = sorted(set(pos) | set(neg))
+
+    best: tuple[float, float, float] | None = None  # (errors, -margin, t)
+    for i in range(len(values) + 1):
+        if i == 0:
+            if values[0] <= 0:
+                continue  # thresholds are non-negative
+            t = values[0] / 2.0
+            margin = t
+        elif i == len(values):
+            t = values[-1]
+            margin = 0.0
+        else:
+            lo, hi = values[i - 1], values[i]
+            t = (lo + hi) / 2.0
+            margin = (hi - lo) / 2.0
+        errors = (len(pos) - bisect_right(pos, t)) + bisect_right(neg, t)
+        key = (float(errors), -margin, t)
+        if best is None or key < best:
+            best = key
+    assert best is not None
+    return best[2]
 
 
 def _window_split(dataset: Dataset, windows: int) -> list[list[str]]:

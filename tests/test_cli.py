@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fpselect import CostWeights, attribute_cost_stats, load_catalog
 from fpselect.cli import (
     EXIT_BAD_CONFIG,
     EXIT_NO_SOLUTION,
@@ -24,6 +25,7 @@ from fpselect.cli import (
     EXIT_SCHEMA_ERROR,
     main,
 )
+from fpselect.dataset import load_observations
 
 from conftest import TABLE1_ATTRS, TABLE1_ROWS, write_table1_files
 
@@ -276,14 +278,17 @@ class TestEvaluateCommand:
         assert report["sensitivity"] == pytest.approx(1 / 6)
         assert len(report["impersonated_users"]) == 1
 
-    def test_unknown_attribute_is_schema_error(self, table1_paths):
+    def test_unknown_attribute_is_a_flag_error(self, table1_paths, capsys):
+        # No input file is at fault, so the flag is refused as configuration.
         dataset, catalog = table1_paths
         status = main([
             "evaluate", "--attrs", "Ghost",
             "--dataset", str(dataset), "--catalog", str(catalog),
             "--alpha", "0.2",
         ])
-        assert status == EXIT_SCHEMA_ERROR
+        assert status == EXIT_BAD_CONFIG
+        assert capsys.readouterr().err == (
+            "fpselect: invalid configuration: --attrs: unknown attribute 'Ghost'\n")
 
     def test_stats_exports(self, tmp_path, table1_paths):
         dataset, catalog = table1_paths
@@ -408,6 +413,12 @@ def test_written_files_keep_their_bytes(tmp_path, monkeypatch):
     changed = [name for name in pinned
                if (tmp_path / name).read_bytes() != (PINNED / name).read_bytes()]
     assert changed == []
+    catalog = load_catalog("catalog.json")
+    stats = attribute_cost_stats(load_observations("dataset.jsonl", catalog),
+                                 CostWeights())
+    stats.save_json("saved-stats.json")
+    assert (tmp_path / "saved-stats.json").read_bytes() == (
+        PINNED / "table1-stats.json").read_bytes()
 
 
 def _number_calibration(tmp_path, value):
@@ -617,6 +628,7 @@ MALFORMED = {
     "config-alpha-bool": lambda t, d, c: _run_config(t, d, c, alpha=True),
     "config-weights": lambda t, d, c: _run_config(t, d, c, weights=["a", 1, 1]),
     "config-array": lambda t, d, c: _config_text(t, "select", "[]"),
+    "config-knowledge-unknown": lambda t, d, c: _run_config(t, d, c, knowledge="foo"),
     "no-dataset": lambda t, d, c: ["select", "--catalog", str(c), "--alpha", "0.2"],
     "file-knowledge-without-pmf": _with_flag(_search, "--knowledge", "file"),
     "select-threads-zero": _with_flag(_search, "--threads", "0"),
@@ -652,6 +664,9 @@ MALFORMED = {
     "synth-duplicate-name": lambda t, d, c: _synth_config(t, name="beta"),
     "synth-copy-of-a-copy": lambda t, d, c: _synth_config(t, copy_of="alpha"),
     "synth-array": lambda t, d, c: _config_text(t, "synth", "[]"),
+    "synth-value-bytes-zero": lambda t, d, c: _synth_config(t, value_bytes=0),
+    "synth-no-attributes": lambda t, d, c: _config_text(t, "synth", json.dumps(
+        {**GENERATOR_CONFIG, "attributes": []})),
     "synth-no-browsers": lambda t, d, c: _config_text(t, "synth", json.dumps(
         {key: value for key, value in GENERATOR_CONFIG.items() if key != "browsers"})),
     "calibrate-text-number": lambda t, d, c: _number_calibration(t, "x"),
@@ -705,7 +720,7 @@ def test_malformed_input_is_one_line_and_exit_3_or_4(tmp_path, capsys, case):
         assert f"{dataset}:13: invalid JSON: " in err
 
 
-@pytest.mark.parametrize("alpha", ["7", "-1", "nan"])
+@pytest.mark.parametrize("alpha", ["7", "-1", "nan", "0"])
 @pytest.mark.parametrize("command", ["select", "baseline --method entropy", "oracle",
                                      "evaluate --attrs Screen"])
 def test_every_command_refuses_an_alpha_outside_0_1(tmp_path, capsys, command, alpha):
@@ -870,6 +885,24 @@ def test_uniform_attackers_list_their_dictionaries(tmp_path, monkeypatch):
     assert any("coded" in vars(a) for a in built)
 
 
+def test_a_budget_past_sys_maxsize_guesses_the_whole_product(tmp_path):
+    """A uniform attacker's budget past ``sys.maxsize``, from a flag or a run
+    config, guesses every tuple of the product, as a budget of 100,000 does."""
+    dataset, catalog = write_table1_files(tmp_path, repeats=2)
+    inputs = ["--dataset", str(dataset), "--catalog", str(catalog), "--alpha", "1",
+              "--knowledge", "uniform"]
+    reports = []
+    for argv in (["select", *inputs, "--beta", str(10**30)],
+                 _run_config(tmp_path, dataset, catalog, alpha=1, knowledge="uniform",
+                             beta=10**30),
+                 ["select", *inputs, "--beta", "100000"]):
+        assert main([*argv, "--out", str(tmp_path / "out.json")]) == EXIT_OK
+        report = json.loads((tmp_path / "out.json").read_text())
+        report["config"].pop("beta")
+        reports.append(report)
+    assert reports[0] == reports[1] == reports[2]
+
+
 @pytest.mark.parametrize("fields, warned", [
     ({}, False),
     ({"kind": "text", "match_threshold": 1}, True),
@@ -979,6 +1012,30 @@ class TestConsoleEntry:
         assert out.exists()
         assert proc.stdout == ""  # machine output only goes to files/stdout
         assert "completed" in proc.stderr
+
+    @pytest.mark.parametrize("alpha, dataset_line, status", [
+        ("0.01", None, EXIT_NO_SOLUTION),
+        ("0.2", "{", EXIT_SCHEMA_ERROR),
+        ("7", None, EXIT_BAD_CONFIG),
+    ], ids=["no-solution", "bad-dataset-line", "alpha-7"])
+    def test_module_invocation_exit_codes(self, tmp_path, alpha, dataset_line, status):
+        dataset, catalog = write_table1_files(tmp_path, repeats=2)
+        if dataset_line:
+            with dataset.open("a") as handle:
+                handle.write(dataset_line + "\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "fpselect.cli", "select",
+             "--dataset", str(dataset), "--catalog", str(catalog),
+             "--alpha", alpha, "--out", str(tmp_path / "report.json")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == status
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        if status != EXIT_NO_SOLUTION:
+            assert proc.stderr.startswith("fpselect: ")
+            assert len(proc.stderr.splitlines()) == 1
 
     def test_a_piped_dataset_is_read_once(self, tmp_path):
         # A pipe cannot be read twice, so a dataset that only the checked

@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 import itertools
 import random
+import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -48,6 +49,7 @@ from fpselect.matching import (
     distance,
     distance_kind_for,
     edit_distance,
+    max_margin_threshold,
 )
 from fpselect.selection import Evaluator
 from fpselect.sensitivity import AttackerInstance, impersonated_mask
@@ -166,7 +168,7 @@ def test_product_dictionary_matches_reference(instance, data):
     """A PMF uniform over the product of its column domains skips grouping,
     and any other PMF, one entry short of a product included, groups. Both
     give the reference's tuples and masses for every budget up to one past
-    the number of groups."""
+    the number of groups, and for one past ``sys.maxsize``."""
     _, attacker = instance
     entries = attacker.pmf.entries
     values = [v for v, _ in entries]
@@ -178,7 +180,7 @@ def test_product_dictionary_matches_reference(instance, data):
     # often sum to other than w * m.
     for attrs in (data.draw(subsets(attacker.pmf.attrs)), ()):
         groups = len(reference.build_dictionary(every, attrs).entries)
-        for beta in range(1, groups + 2):
+        for beta in (*range(1, groups + 2), sys.maxsize + 1):
             knows = AttackerInstance(attacker.pmf, beta, attacker.knowledge)
             assert build_dictionary(knows, attrs) == reference.build_dictionary(
                 knows, attrs
@@ -206,9 +208,10 @@ def test_impersonated_users_match_reference(instance, data):
 @given(instances(), st.data())
 def test_evaluator_sensitivity_matches_reference(instance, data):
     """The search's sensitivity is the reference reach, bit for bit, for
-    every budget up to one past the number of groups. Against the dataset's
-    own population attacker, exact sets take the count path; the instance's
-    attacker, whose population PMF predates the added users, does not."""
+    every budget up to one past the number of groups, and for one past
+    ``sys.maxsize``. Against the dataset's own population attacker, exact
+    sets take the count path; the instance's attacker, whose population
+    PMF predates the added users, does not."""
     dataset, attacker = instance
     catalog, names = dataset.catalog, dataset.catalog.names
     # Where some exact attributes vary across users, half the draws keep to
@@ -236,7 +239,7 @@ def test_evaluator_sensitivity_matches_reference(instance, data):
         for i, values in enumerate(copies) for seq in (0, 1)
     )))
     mapping = dataset.user_mapping
-    for beta in range(1, len(ranked) + 2):
+    for beta in (*range(1, len(ranked) + 2), sys.maxsize + 1):
         for knows in (population_attacker(dataset, beta),
                       AttackerInstance(attacker.pmf, beta, attacker.knowledge)):
             expected = reference.impersonated_users(attrs, knows, mapping, catalog)
@@ -475,6 +478,19 @@ def test_calibration_matches_reference(instance, windows, seed, negative_cap):
     assert _calibration(calibrate_thresholds, *args, **kwargs) == _calibration(
         reference.calibrate_thresholds, *args, **kwargs
     )
+
+
+# Distances as the measures give them: non-negative and often tied, up to
+# the infinity an absolute difference of two huge numbers overflows to.
+DISTANCES = st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0])
+                     | st.floats(min_value=0, allow_nan=False), min_size=1, max_size=30)
+
+
+@SETTINGS
+@given(DISTANCES, DISTANCES)
+def test_max_margin_threshold_matches_reference(positives, negatives):
+    assert max_margin_threshold(positives, negatives) == (
+        reference.max_margin_threshold(positives, negatives))
 
 
 # Characters from the three ranges a string can hold: ASCII, the rest of

@@ -90,6 +90,21 @@ class TestGreedyEngineTrace:
         assert out.trace == ()
         assert out.explored_count == 1  # only the full set was measured
 
+    def test_a_path_count_past_the_lattice_costs_no_more(self):
+        # Every frontier of three attributes fits in 2**3 paths, so a million
+        # paths keep the same sets and measure each of them once.
+        runs = []
+        for k in (2**3, 10**6):
+            measured = []
+
+            def measure(subset):
+                measured.append(subset)
+                return lattice_measure(subset)
+
+            outcome = greedy_lattice_search(["1", "2", "3"], measure, alpha=0.15, k=k)
+            runs.append((outcome, len(measured)))
+        assert runs[0] == runs[1]
+
     def test_threaded_measurement_is_deterministic(self):
         single = greedy_lattice_search(["1", "2", "3"], lattice_measure,
                                        alpha=0.15, k=2, max_workers=1)
