@@ -237,12 +237,18 @@ def calibrate_thresholds(
     Browsers are split round-robin into ``windows`` samples. Within each
     window the positive class holds distances between consecutive
     fingerprints of the same browser, the negative class distances between
-    randomly paired observations of different browsers (seeded, capped at
-    ``negative_cap`` per window). Per-window thresholds are max-margin
-    separators; the final threshold is their mean.
+    randomly paired observations of different browsers (capped at
+    ``negative_cap`` >= 1 per window). The pairs are the stream of
+    ``random.sample`` of two browsers and a ``random.choice`` of each one's
+    rows, on an RNG seeded per (seed, window, attribute); they are drawn
+    straight from ``getrandbits``, so reports stay byte-identical to those
+    calls. Per-window thresholds are max-margin separators; the final
+    threshold is their mean.
     """
     if windows < 1:
         raise ConfigError("windows must be >= 1")
+    if negative_cap < 1:
+        raise ConfigError("negative_cap must be >= 1")
     catalog, coded = dataset.catalog, dataset.codes
     members = dataset.browser_rows
     window = dataset._ordinals[dataset._pairs[0]] % windows
@@ -262,17 +268,11 @@ def calibrate_thresholds(
         for j, (attr, measure) in enumerate(zip(catalog.attributes, measures)):
             column = coded.matrix[:, j]
             positives = measure(column[earlier], column[later])
-            rng = _derived_rng(seed, w, attr.name)
-            firsts, seconds = [], []
-            for _ in range(min(len(positives), negative_cap)):
-                first, second = rng.sample(browsers, 2)
-                firsts.append(rng.choice(members[first]))
-                seconds.append(rng.choice(members[second]))
+            firsts, seconds = _negative_rows(
+                _derived_rng(seed, w, attr.name), browsers, members,
+                min(len(positives), negative_cap),
+            )
             negatives = measure(column[firsts], column[seconds])
-            if not negatives:
-                raise ConfigError(
-                    f"window {w}: no cross-browser pairs for {attr.name!r}"
-                )
             window_thresholds[attr.name].append(
                 max_margin_threshold(positives, negatives)
             )
@@ -288,6 +288,50 @@ def calibrate_thresholds(
         },
         thresholds=averages,
     )
+
+
+def _negative_rows(
+    rng: random.Random,
+    browsers: Sequence[int],
+    members: Sequence[Sequence[int]],
+    count: int,
+) -> tuple[list[int], list[int]]:
+    """Rows of ``count`` cross-browser pairs, the draws of
+    ``rng.sample(browsers, 2)`` and one ``rng.choice`` from each browser's
+    rows, made straight from ``rng.getrandbits``.
+
+    CPython's ``random`` draws an index below ``n`` as ``getrandbits`` of
+    ``n.bit_length()`` bits, redrawn until below ``n``. For two picks,
+    ``sample`` draws from a shrinking pool while ``n <= 21`` (a second
+    index equal to the first stands for the pool's last) and above that
+    redraws the second until it differs from the first.
+    """
+    getrandbits = rng.getrandbits
+    n = len(browsers)
+    bits, pool_bits = n.bit_length(), (n - 1).bit_length()
+    firsts, seconds = [], []
+    for _ in range(count):
+        a = getrandbits(bits)
+        while a >= n:
+            a = getrandbits(bits)
+        if n <= 21:
+            b = getrandbits(pool_bits)
+            while b >= n - 1:
+                b = getrandbits(pool_bits)
+            if b == a:
+                b = n - 1
+        else:
+            b = getrandbits(bits)
+            while b >= n or b == a:
+                b = getrandbits(bits)
+        for picked, out in ((a, firsts), (b, seconds)):
+            rows = members[browsers[picked]]
+            m = len(rows)
+            r = getrandbits(m.bit_length())
+            while r >= m:
+                r = getrandbits(m.bit_length())
+            out.append(rows[r])
+    return firsts, seconds
 
 
 def _pair_distances(attr: AttributeSpec, values: Sequence[str]) -> Callable:

@@ -371,6 +371,8 @@ def calibrate_thresholds(
     randomly paired cross-browser (negative) observations, averaged."""
     if windows < 1:
         raise ConfigError("windows must be >= 1")
+    if negative_cap < 1:
+        raise ConfigError("negative_cap must be >= 1")
     catalog = dataset.catalog
     groups = _window_split(dataset, windows)
     window_of = {b: w for w, browsers in enumerate(groups) for b in browsers}

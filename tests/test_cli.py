@@ -733,6 +733,17 @@ def test_every_command_refuses_an_alpha_outside_0_1(tmp_path, capsys, command, a
                                        " threshold alpha must be in (0, 1]\n")
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_calibrate_refuses_a_negative_cap_below_1(tmp_path, capsys, cap):
+    dataset, catalog = write_table1_files(tmp_path, repeats=2)
+    argv = ["calibrate", "--dataset", str(dataset), "--catalog", str(catalog),
+            "--windows", "1", "--negative-cap", cap]
+    capsys.readouterr()
+    assert main(argv) == EXIT_BAD_CONFIG
+    assert capsys.readouterr() == (
+        "", "fpselect: invalid configuration: negative_cap must be >= 1\n")
+
+
 @pytest.mark.parametrize("entries, entry", [
     ([{"values": ["True", "fr", "1080"], "p": 1.0}], 0),
     ([{"values": ["True", "fr", "1080", "-1"], "p": 0.5}] * 2, 1),

@@ -45,6 +45,7 @@ from fpselect import (
 )
 from fpselect.dataset import encode_rows, load_observations
 from fpselect.matching import (
+    _negative_rows,
     _pair_distances,
     distance,
     distance_kind_for,
@@ -52,6 +53,7 @@ from fpselect.matching import (
     max_margin_threshold,
 )
 from fpselect.selection import Evaluator
+from fpselect.synth import SynthAttribute, SynthConfig, synthesize
 from fpselect.sensitivity import AttackerInstance, impersonated_mask
 
 from test_cli import FUZZ_VALUES, _huge, _paths
@@ -478,6 +480,42 @@ def test_calibration_matches_reference(instance, windows, seed, negative_cap):
     assert _calibration(calibrate_thresholds, *args, **kwargs) == _calibration(
         reference.calibrate_thresholds, *args, **kwargs
     )
+
+
+@pytest.mark.parametrize("browsers", [21, 22, 67])
+def test_calibration_matches_reference_on_both_sample_paths(browsers):
+    """``random.sample`` picks two of at most 21 browsers from a pool and
+    of more from a set; ``instances()`` rarely reaches the set path, which
+    windows of the benchmark's size take."""
+    config = SynthConfig(browsers, 3, (
+        SynthAttribute("ua", cardinality=9, change_prob=0.4, kind="text"),
+        SynthAttribute("width", cardinality=6, change_prob=0.3, kind="number"),
+        SynthAttribute("tz", cardinality=4, change_prob=0.2),
+    ))
+    dataset = synthesize(config, seed=browsers)
+    kwargs = {"seed": 5, "negative_cap": 50}
+    assert calibrate_thresholds(dataset, 1, **kwargs) == (
+        reference.calibrate_thresholds(dataset, 1, **kwargs))
+
+
+@pytest.mark.parametrize("n", [*range(2, 71), 127, 128, 129, 1000])
+def test_negative_rows_are_the_stdlib_draws(n):
+    """The rows ``rng.sample(browsers, 2)`` and two ``rng.choice`` calls
+    pick, and the generator's state after them: a change to either in the
+    standard library shows here."""
+    shapes = random.Random(n)
+    for w, step in ((0, 1), (n % 3, 3)):
+        browsers = range(w, w + step * n, step)
+        members = [[shapes.randrange(10**6) for _ in range(shapes.randint(1, 5))]
+                   for _ in range(browsers[-1] + 1)]
+        fast, stdlib = random.Random(n + w), random.Random(n + w)
+        firsts, seconds = [], []
+        for _ in range(200):
+            first, second = stdlib.sample(browsers, 2)
+            firsts.append(stdlib.choice(members[first]))
+            seconds.append(stdlib.choice(members[second]))
+        assert _negative_rows(fast, browsers, members, 200) == (firsts, seconds)
+        assert fast.getstate() == stdlib.getstate()
 
 
 # Distances as the measures give them: non-negative and often tied, up to
