@@ -143,7 +143,7 @@ class AttributeCatalog:
         unknown = wanted - self._by_name.keys()
         if unknown:
             raise SchemaError(f"unknown attribute {sorted(unknown)[0]!r}")
-        return tuple(n for n in self.names if n in wanted)
+        return tuple(sorted(wanted))  # the catalog sorts its names too
 
     def with_thresholds(self, thresholds: dict[str, float]) -> "AttributeCatalog":
         """A copy of the catalog with per-attribute thresholds replaced."""

@@ -72,9 +72,7 @@ class CostBreakdown:
 
 def mem_cost(attrs: Iterable[str], dataset: Dataset) -> float:
     """Average fingerprint size in UTF-8 bytes over the dataset."""
-    canon = dataset.catalog.canonical(attrs)
-    totals = dataset.attribute_byte_totals
-    return sum(totals[a] for a in canon) / len(dataset)
+    return _mem_cost(dataset.catalog.canonical(attrs), dataset)
 
 
 def time_cost(attrs: Iterable[str], dataset: Dataset) -> float:
@@ -83,7 +81,36 @@ def time_cost(attrs: Iterable[str], dataset: Dataset) -> float:
     Per observation the cost is the maximum of each asynchronous
     attribute's time and the sum of the sequential ones.
     """
+    return _time_cost(dataset.catalog.canonical(attrs), dataset)
+
+
+def ins_cost(attrs: Iterable[str], dataset: Dataset) -> float:
+    """Average number of attributes changing between consecutive observations."""
+    return _ins_cost(dataset.catalog.canonical(attrs), dataset)
+
+
+def total_cost(
+    attrs: Iterable[str], dataset: Dataset, weights: CostWeights
+) -> CostBreakdown:
     canon = dataset.catalog.canonical(attrs)
+    memory = _mem_cost(canon, dataset)
+    time_ms = _time_cost(canon, dataset)
+    instability = _ins_cost(canon, dataset)
+    return CostBreakdown(
+        memory_bytes=memory,
+        time_ms=time_ms,
+        instability_changes=instability,
+        total_points=weights.combine(memory, time_ms, instability),
+    )
+
+
+# The bodies of the measures above, on a set already in canonical order.
+def _mem_cost(canon: tuple[str, ...], dataset: Dataset) -> float:
+    totals = dataset.attribute_byte_totals
+    return sum(totals[a] for a in canon) / len(dataset)
+
+
+def _time_cost(canon: tuple[str, ...], dataset: Dataset) -> float:
     if not canon:
         return 0.0
     times = dataset.attribute_times
@@ -97,9 +124,7 @@ def time_cost(attrs: Iterable[str], dataset: Dataset) -> float:
     return float(per_obs.mean())
 
 
-def ins_cost(attrs: Iterable[str], dataset: Dataset) -> float:
-    """Average number of attributes changing between consecutive observations."""
-    canon = dataset.catalog.canonical(attrs)
+def _ins_cost(canon: tuple[str, ...], dataset: Dataset) -> float:
     pairs = dataset.consecutive_pair_count
     if pairs == 0:
         raise ConfigError(
@@ -107,21 +132,6 @@ def ins_cost(attrs: Iterable[str], dataset: Dataset) -> float:
         )
     changes = dataset.attribute_change_counts
     return sum(changes[a] for a in canon) / pairs
-
-
-def total_cost(
-    attrs: Iterable[str], dataset: Dataset, weights: CostWeights
-) -> CostBreakdown:
-    canon = dataset.catalog.canonical(attrs)
-    memory = mem_cost(canon, dataset)
-    time_ms = time_cost(canon, dataset)
-    instability = ins_cost(canon, dataset)
-    return CostBreakdown(
-        memory_bytes=memory,
-        time_ms=time_ms,
-        instability_changes=instability,
-        total_points=weights.combine(memory, time_ms, instability),
-    )
 
 
 @dataclass(frozen=True)

@@ -251,7 +251,9 @@ def calibrate_thresholds(
         raise ConfigError("negative_cap must be >= 1")
     catalog, coded = dataset.catalog, dataset.codes
     members = dataset.browser_rows
-    window = dataset._ordinals[dataset._pairs[0]] % windows
+    # Ordinals stay below the browser count, so a larger divisor leaves them
+    # as they are; capping it keeps a huge count from overflowing a C long.
+    window = dataset._ordinals[dataset._pairs[0]] % min(windows, len(members))
     measures = [_pair_distances(attr, list(lookup))
                 for attr, lookup in zip(catalog.attributes, coded.lookup)]
 

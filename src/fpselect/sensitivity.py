@@ -33,6 +33,10 @@ from .matching import fp_match  # noqa: F401  (bench/tracer.py wraps it here)
 
 UserMapping = Mapping[str, ValueTuple]
 
+# Code comparisons one reach block holds, rows × guesses × exact columns:
+# about 1 MB of bools, whatever the budget or the dictionary's length.
+_BLOCK_CELLS = 1 << 20
+
 
 @dataclass(frozen=True)
 class AttackerInstance:
@@ -192,9 +196,10 @@ def _reached(
     """Per row of ``stored`` (full fingerprints), whether a submission matches it.
 
     ``fp_match`` is the conjunction of ``attr_match``, which depends only on
-    the value pair. So exact columns compare codes for all rows at once, and
-    each tolerant column matches each distinct stored value of the rows still
-    in the running once.
+    the value pair. So exact columns compare integer codes for all rows and a
+    block of guesses at once; a value no user has is coded -1, which equals
+    no stored code. Tolerant columns still run per guess on the rows that
+    survive, matching each distinct stored value of those rows once.
     """
     dictionary = build_dictionary(attacker, canon)
     cols = column_indices(catalog.names, canon)
@@ -207,23 +212,32 @@ def _reached(
     ]
     projected = stored.matrix[:, [cols[i] for i in exact]]
     hit = np.zeros(len(stored.matrix), dtype=bool)
-    for guess in dictionary.entries:
-        codes = [stored.lookup[cols[i]].get(guess[i], -1) for i in exact]
-        if -1 in codes:  # a value no user has matches nobody
+    guesses = dictionary.entries
+    step = max(1, _BLOCK_CELLS // (len(hit) * max(len(exact), 1)))
+    for start in range(0, len(guesses), step):
+        block = guesses[start : start + step]
+        codes = np.array(
+            [[stored.lookup[cols[i]].get(g[i], -1) for i in exact] for g in block],
+            dtype=np.int64,
+        )
+        matches = (projected[:, None, :] == codes).all(axis=2)
+        if not tolerant:
+            hit |= matches.any(axis=1)
             continue
-        match = (projected == codes).all(axis=1)
-        for i, spec, values in tolerant:
-            rows = np.flatnonzero(match & ~hit)
-            distinct, inverse = np.unique(
-                stored.matrix[rows, cols[i]], return_inverse=True
-            )
-            accepted = np.fromiter(
-                (attr_match(spec, values[c], guess[i]) for c in distinct.tolist()),
-                bool,
-                len(distinct),
-            )
-            match[rows[~accepted[inverse]]] = False
-        hit |= match
+        for j in np.flatnonzero(matches.any(axis=0)).tolist():
+            guess, match = block[j], matches[:, j]
+            for i, spec, values in tolerant:
+                rows = np.flatnonzero(match & ~hit)
+                distinct, inverse = np.unique(
+                    stored.matrix[rows, cols[i]], return_inverse=True
+                )
+                accepted = np.fromiter(
+                    (attr_match(spec, values[c], guess[i]) for c in distinct.tolist()),
+                    bool,
+                    len(distinct),
+                )
+                match[rows[~accepted[inverse]]] = False
+            hit |= match
     return hit
 
 

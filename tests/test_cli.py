@@ -639,6 +639,13 @@ MALFORMED = {
     "calibrate-no-dataset": lambda t, d, c: ["calibrate", "--catalog", str(c)],
     "calibrate-windows-zero": lambda t, d, c: [
         "calibrate", "--dataset", str(d), "--catalog", str(c), "--windows", "0"],
+    # Window counts past a C long, which numpy takes no remainder by.
+    **{
+        f"calibrate-windows-{label}": lambda t, d, c, windows=windows: [
+            "calibrate", "--dataset", str(d), "--catalog", str(c), "--windows",
+            windows]
+        for label, windows in (("past-int64", str(2**63)), ("huge", str(10**20)))
+    },
     "synth-browsers": lambda t, d, c: _synth_config(t, browsers="x"),
     "synth-browsers-overflow": lambda t, d, c: _synth_config(t, browsers="HUGE"),
     "synth-browsers-fraction": lambda t, d, c: _synth_config(t, browsers=24.9),

@@ -11,6 +11,7 @@ The column loader must give the row loader's views, or its error message.
 from __future__ import annotations
 
 import copy
+import importlib
 import itertools
 import random
 import sys
@@ -247,6 +248,64 @@ def test_evaluator_sensitivity_matches_reference(instance, data):
             expected = reference.impersonated_users(attrs, knows, mapping, catalog)
             evaluator = Evaluator(dataset, knows, CostWeights())
             assert evaluator.evaluate(attrs)[1] == len(expected) / len(mapping)
+
+
+# The package's ``sensitivity`` is the function, so fetch the module.
+SENSITIVITY = importlib.import_module("fpselect.sensitivity")
+
+
+def _in_blocks_of(guesses, patch):
+    """Make every reach block hold ``guesses`` guesses: before each call,
+    size the block constant for that call's rows and exact columns."""
+    reached = SENSITIVITY._reached
+
+    def blocked(canon, attacker, catalog, stored):
+        exact = sum(catalog.spec(a).matches_exactly for a in canon)
+        patch.setattr(SENSITIVITY, "_BLOCK_CELLS",
+                      guesses * len(stored.matrix) * max(exact, 1))
+        return reached(canon, attacker, catalog, stored)
+
+    patch.setattr(SENSITIVITY, "_reached", blocked)
+
+
+@pytest.mark.parametrize("guesses", [1, 3])
+@SETTINGS
+@given(instances(), st.data())
+def test_reach_is_the_same_in_blocks_of_any_size(guesses, instance, data):
+    """The two reach comparisons above, with one or three guesses per block,
+    so dictionaries span several blocks and a block can end mid-dictionary."""
+    with pytest.MonkeyPatch.context() as patch:
+        _in_blocks_of(guesses, patch)
+        test_impersonated_users_match_reference.hypothesis.inner_test(instance, data)
+        test_evaluator_sensitivity_matches_reference.hypothesis.inner_test(
+            instance, data)
+
+
+@pytest.mark.parametrize("guesses", [None, 1, 3])
+def test_a_value_no_user_has_matches_nobody_inside_a_block(guesses):
+    # The second of three guesses holds an exact value no user has, with a
+    # text value that users of every stored value of x hold: coded as any
+    # stored value, it would reach one of u3, u4 and u5. The tolerant text
+    # column accepts "ab" against "xb" and "abc".
+    catalog = AttributeCatalog((AttributeSpec("x", "category"),
+                                AttributeSpec("t", "text", match_threshold=1)))
+    # Values in canonical order, (t, x), as the guesses are.
+    rows = {"u0": ("ab", "a"), "u1": ("xb", "a"), "u2": ("abc", "b"),
+            "u3": ("zzzz", "b"), "u4": ("zzzz", "c"), "u5": ("zzzz", "a")}
+    dataset = Dataset(catalog, tuple(
+        Observation(user, 0, dict(zip(catalog.names, values)), {})
+        for user, values in rows.items()))
+    entries = ((("ab", "a"), 0.4), (("zzzz", "unseen"), 0.3), (("ab", "b"), 0.2),
+               (("ab", "c"), 0.1))
+    attacker = AttackerInstance(Pmf(catalog.names, entries), 3, "file")
+    with pytest.MonkeyPatch.context() as patch:
+        if guesses is not None:
+            _in_blocks_of(guesses, patch)
+        mask = impersonated_mask(catalog.names, attacker, dataset)
+        users = impersonated_users(catalog.names, attacker, rows, catalog)
+    assert users == {u for u, hit in zip(dataset.user_mapping, mask) if hit}
+    assert users == reference.impersonated_users(
+        catalog.names, attacker, rows, catalog) == {"u0", "u1", "u2"}
 
 
 def test_a_foreign_population_attacker_is_not_counted():

@@ -6,6 +6,7 @@ import importlib
 import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -28,7 +29,11 @@ from fpselect import (
     sensitivity,
     uniform_attacker,
 )
-from fpselect.sensitivity import AttackerInstance, impersonated_share
+from fpselect.sensitivity import (
+    AttackerInstance,
+    impersonated_mask,
+    impersonated_share,
+)
 from fpselect.synth import SynthAttribute, SynthConfig, synthesize
 
 from conftest import make_dataset, table1_dataset
@@ -430,3 +435,28 @@ class TestReachPath:
                 assert impersonated_share(canon, copy, dataset) == share
         assert len(built) == 2 ** len(names)
         assert all(attacker is copy for attacker in built)
+
+
+def test_reach_memory_stays_bounded_whatever_the_budget():
+    # 500 users over eight columns whose domains multiply to 2,592 tuples;
+    # every one of them is a guess. Comparing all guesses' codes with all
+    # users' at once would take 500 x 2,592 x 8 bools, 10.4 MB.
+    cardinalities = (2, 2, 2, 3, 3, 3, 3, 4)
+    names = tuple(f"a{k}" for k in range(len(cardinalities)))
+    catalog = AttributeCatalog(tuple(AttributeSpec(n, "category") for n in names))
+    dataset = Dataset(catalog, tuple(
+        Observation(f"u{i}", 0, {n: str(i % c) for n, c in zip(names, cardinalities)},
+                    {})
+        for i in range(500)))
+    attacker = uniform_attacker(dataset, beta=10**6)
+    support = len(attacker.pmf.entries)
+    assert support == 2592
+    unblocked = len(dataset.user_mapping) * support * len(names)
+    tracemalloc.start()
+    try:
+        reached = impersonated_mask(names, attacker, dataset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert reached.all()
+    assert peak < unblocked / 4, (peak, unblocked)
