@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import os
 import sys
@@ -193,19 +194,11 @@ def _trace_to_json(result: SelectionResult) -> list[dict]:
 
 
 def _selection_report(result: SelectionResult, config: RunConfig) -> dict:
-    return {
-        "method": result.method,
-        "config": config.to_report_dict(),
-        "no_solution": result.is_no_solution,
-        "candidate_sensitivity": result.candidate_sensitivity,
-        "chosen": None if result.chosen is None else list(result.chosen),
-        "cost_breakdown": (
-            None if result.breakdown is None else result.breakdown.to_dict()
-        ),
-        "sensitivity": result.sensitivity,
-        "explored_count": result.explored_count,
-        "trace": _trace_to_json(result),
-    }
+    report = {**vars(result), "config": config.to_report_dict(),
+              "no_solution": result.is_no_solution, "trace": _trace_to_json(result)}
+    breakdown = report.pop("breakdown")
+    report["cost_breakdown"] = None if breakdown is None else breakdown.to_dict()
+    return report
 
 
 def _write_report(report: dict, out: str | None) -> None:
@@ -217,25 +210,20 @@ def _write_report(report: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _write_trace_csv(result: SelectionResult, path: str) -> None:
+def _write_trace_csv(trace: list[dict], path: str) -> None:
+    """One row per stage of a report's ``trace``; a missing cost stays empty."""
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(
             ["stage", "expanded_count", "satisfying_count",
              "frontier_count", "pruned_count", "best_satisfying_cost"]
         )
-        for state in result.trace:
-            writer.writerow(
-                [
-                    state.stage,
-                    len(state.expanded),
-                    len(state.satisfying),
-                    len(state.frontier),
-                    len(state.pruned),
-                    "" if math.isinf(state.best_satisfying_cost)
-                    else state.best_satisfying_cost,
-                ]
-            )
+        writer.writerows(
+            [state["stage"],
+             *(len(state[k]) for k in ("expanded", "satisfying", "frontier", "pruned")),
+             state["best_satisfying_cost"]]
+            for state in trace
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +257,10 @@ def _cmd_search(args: argparse.Namespace) -> int:
     else:
         result = select_cond_entropy_baseline(dataset, attacker, selection)
 
-    _write_report(_selection_report(result, config), config.out)
+    report = _selection_report(result, config)
+    _write_report(report, config.out)
     if args.trace_csv:
-        _write_trace_csv(result, args.trace_csv)
+        _write_trace_csv(report["trace"], args.trace_csv)
     if result.is_no_solution:
         _progress(
             "no solution: even the full candidate set has sensitivity"
@@ -355,11 +344,17 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common_selection_flags(parser: argparse.ArgumentParser) -> None:
+def _add_path_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dataset", help="JSONL observation file"
                         f" (default: ${ENV_DATASET})")
     parser.add_argument("--catalog", help="JSON attribute catalog"
                         f" (default: ${ENV_CATALOG})")
+    parser.add_argument("--out", help=f"report JSON path (default: ${ENV_OUT}"
+                        " or stdout)")
+
+
+def _add_common_selection_flags(parser: argparse.ArgumentParser) -> None:
+    _add_path_flags(parser)
     parser.add_argument("--config", help="run config JSON; flags override it")
     parser.add_argument("--alpha", type=float, help="sensitivity threshold in (0,1]")
     parser.add_argument("--beta", type=int, help="attacker submission budget")
@@ -370,12 +365,11 @@ def _add_common_selection_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--pmf-path", dest="pmf_path",
                         help="attacker PMF file for --knowledge file")
     parser.add_argument("--seed", type=int, help="seed recorded in the report")
-    parser.add_argument("--out", help=f"report JSON path (default: ${ENV_OUT}"
-                        " or stdout)")
     parser.add_argument("--trace-csv", dest="trace_csv",
                         help="also write per-stage exploration counts as CSV")
 
 
+@functools.cache  # parse_args keeps its state in the namespace it returns
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="fpselect",
@@ -416,13 +410,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(handler=_cmd_evaluate)
 
     p_cal = sub.add_parser("calibrate", help="learn matching thresholds")
-    p_cal.add_argument("--dataset", help="JSONL observation file")
-    p_cal.add_argument("--catalog", help="JSON attribute catalog")
+    _add_path_flags(p_cal)
     p_cal.add_argument("--windows", type=int, default=6)
     p_cal.add_argument("--seed", type=int, default=0)
     p_cal.add_argument("--negative-cap", dest="negative_cap", type=int,
                        default=1000)
-    p_cal.add_argument("--out", help="calibration report JSON")
     p_cal.add_argument("--write-catalog", dest="write_catalog",
                        help="write a catalog with calibrated thresholds here")
     p_cal.set_defaults(handler=_cmd_calibrate)
@@ -439,10 +431,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     started = time.perf_counter()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         for dest in ("config", "dataset", "catalog", "pmf_path", "out", "trace_csv",
                      "stats_out", "stats_csv", "write_catalog", "catalog_out"):
             _check_path("--" + dest.replace("_", "-"), getattr(args, dest, None))

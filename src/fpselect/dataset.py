@@ -235,8 +235,9 @@ class Dataset:
     def _pairs(self) -> np.ndarray:
         """Rows: earlier and later observation index of every consecutive
         same-browser pair, browser by browser."""
-        pairs = [p for ix in self.browser_rows for p in zip(ix, ix[1:])]
-        return np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        order = np.argsort(self._ordinals, kind="stable")
+        same = np.flatnonzero(self._ordinals[order[1:]] == self._ordinals[order[:-1]])
+        return np.stack([order[same], order[same + 1]])
 
     @property
     def consecutive_pair_count(self) -> int:

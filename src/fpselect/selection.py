@@ -136,9 +136,10 @@ def greedy_lattice_search(
 
     candidate_cost, candidate_sensitivity = measured(names)
     best_cost = math.inf
-    satisfying: list[AttrSet] = []
+    # The empty set reaches every user, so it meets alpha exactly when alpha >= 1.
+    satisfying: list[AttrSet] = [()] if alpha >= 1 else []
     pruned: list[AttrSet] = []
-    frontier: list[AttrSet] = [()] if candidate_sensitivity <= alpha else []
+    frontier: list[AttrSet] = [()] if candidate_sensitivity <= alpha < 1 else []
     trace: list[SearchState] = []
     stage = 0
 
@@ -303,6 +304,8 @@ def _first_satisfying(
     evaluator: Evaluator, picks: Iterable[str], alpha: float
 ) -> AttrSet | None:
     """Add ``picks`` one at a time; the first prefix meeting alpha, canonical."""
+    if alpha >= 1:  # the empty prefix reaches every user
+        return ()
     chosen: list[str] = []
     for name in picks:
         chosen.append(name)

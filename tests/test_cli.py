@@ -254,6 +254,28 @@ class TestBaselineAndOracleCommands:
         oracle = json.loads(oracle_out.read_text())
         assert oracle["chosen"] == greedy["chosen"]
 
+    @pytest.mark.parametrize("command, explored", [
+        (["select"], 2),
+        (["baseline", "--method", "entropy"], 2),
+        (["baseline", "--method", "cond-entropy"], 2),
+        (["oracle"], 16),
+    ], ids=["select", "entropy", "cond-entropy", "oracle"])
+    def test_alpha_1_selects_the_empty_set(
+        self, tmp_path, table1_paths, command, explored
+    ):
+        """The empty set reaches every user, which alpha 1 allows, and it
+        costs nothing: every method reports it, and only the oracle
+        measures more than it and the full set."""
+        dataset, catalog = table1_paths
+        out = tmp_path / "report.json"
+        assert main([*command, "--dataset", str(dataset), "--catalog", str(catalog),
+                     "--alpha", "1", "--out", str(out)]) == EXIT_OK
+        report = json.loads(out.read_text())
+        assert report["chosen"] == []
+        assert report["cost_breakdown"]["total_points"] == 0
+        assert report["sensitivity"] == 1
+        assert report["explored_count"] == explored
+
     def test_oracle_refuses_oversized_catalogs(self, tmp_path, synth_paths):
         dataset, catalog = synth_paths
         status = main([
@@ -368,23 +390,33 @@ EVERY_KEY_CATALOG = [
     {"name": "Timezone", "kind": "number", "match_threshold": 0.5},
 ]
 
-# Run in order in one directory; each writes files named as in ``PINNED``.
+# Run in order in one directory, each with its exit status; each writes files
+# named as in ``PINNED``.
 PINNED_RUNS = [
-    ["evaluate", "--attrs", "Language,Screen", "--dataset", "dataset.jsonl",
-     "--catalog", "catalog.json", "--alpha", "0.5", "--out", "table1-evaluate.json",
-     "--stats-out", "table1-stats.json", "--stats-csv", "table1-stats.csv"],
-    ["calibrate", "--dataset", "dataset.jsonl", "--catalog", "catalog.json",
-     "--windows", "2", "--out", "table1-calibration.json",
-     "--write-catalog", "table1-calibrated-catalog.json"],
-    ["synth", "--config", "generator.json", "--seed", "3", "--out", "synth.jsonl",
-     "--catalog-out", "synth-catalog.json"],
-    ["evaluate", "--attrs", "alpha,gamma", "--dataset", "synth.jsonl",
-     "--catalog", "synth-catalog.json", "--alpha", "0.5", "--beta", "2",
-     "--weights", "2,3,5", "--seed", "7", "--out", "synth-evaluate.json",
-     "--stats-out", "synth-stats.json", "--stats-csv", "synth-stats.csv"],
-    ["calibrate", "--dataset", "synth.jsonl", "--catalog", "synth-catalog.json",
-     "--windows", "3", "--seed", "1", "--out", "synth-calibration.json",
-     "--write-catalog", "synth-calibrated-catalog.json"],
+    (EXIT_OK, ["evaluate", "--attrs", "Language,Screen", "--dataset", "dataset.jsonl",
+               "--catalog", "catalog.json", "--alpha", "0.5",
+               "--out", "table1-evaluate.json", "--stats-out", "table1-stats.json",
+               "--stats-csv", "table1-stats.csv"]),
+    (EXIT_OK, ["calibrate", "--dataset", "dataset.jsonl", "--catalog", "catalog.json",
+               "--windows", "2", "--out", "table1-calibration.json",
+               "--write-catalog", "table1-calibrated-catalog.json"]),
+    # Stage 1 satisfies nothing: an empty CSV field and a JSON null.
+    (EXIT_OK, ["select", "--dataset", "dataset.jsonl", "--catalog", "catalog.json",
+               "--alpha", "0.2", "--k", "2", "--out", "table1-select.json",
+               "--trace-csv", "table1-trace.csv"]),
+    (EXIT_NO_SOLUTION, ["select", "--dataset", "dataset.jsonl",
+                        "--catalog", "catalog.json", "--alpha", "0.05",
+                        "--out", "table1-no-solution.json"]),
+    (EXIT_OK, ["synth", "--config", "generator.json", "--seed", "3",
+               "--out", "synth.jsonl", "--catalog-out", "synth-catalog.json"]),
+    (EXIT_OK, ["evaluate", "--attrs", "alpha,gamma", "--dataset", "synth.jsonl",
+               "--catalog", "synth-catalog.json", "--alpha", "0.5", "--beta", "2",
+               "--weights", "2,3,5", "--seed", "7", "--out", "synth-evaluate.json",
+               "--stats-out", "synth-stats.json", "--stats-csv", "synth-stats.csv"]),
+    (EXIT_OK, ["calibrate", "--dataset", "synth.jsonl",
+               "--catalog", "synth-catalog.json", "--windows", "3", "--seed", "1",
+               "--out", "synth-calibration.json",
+               "--write-catalog", "synth-calibrated-catalog.json"]),
 ]
 
 
@@ -400,16 +432,16 @@ def _write_pinned_files(directory):
                                      "collect_ms": {"Screen": 1.5 * seq}}) + "\n")
     catalog.write_text(json.dumps(EVERY_KEY_CATALOG))
     (directory / "generator.json").write_text(json.dumps(GENERATOR_CONFIG))
-    for argv in PINNED_RUNS:
-        assert main(argv) == EXIT_OK
+    for status, argv in PINNED_RUNS:
+        assert main(argv) == status
 
 
 def test_written_files_keep_their_bytes(tmp_path, monkeypatch):
-    """Reports, cost stats and catalogs keep their bytes."""
+    """Reports, trace CSVs, cost stats and catalogs keep their bytes."""
     monkeypatch.chdir(tmp_path)  # relative paths, so reports name no tmp_path
     _write_pinned_files(tmp_path)
     pinned = sorted(path.name for path in PINNED.iterdir())
-    assert len(pinned) == 11
+    assert len(pinned) == 14
     changed = [name for name in pinned
                if (tmp_path / name).read_bytes() != (PINNED / name).read_bytes()]
     assert changed == []
@@ -1030,6 +1062,26 @@ class TestConsoleEntry:
         assert out.exists()
         assert proc.stdout == ""  # machine output only goes to files/stdout
         assert "completed" in proc.stderr
+
+    def test_calls_in_one_process_stay_independent(self, tmp_path, capsys):
+        """A flag of one call, or a call that fails, leaves nothing behind
+        for the next: its report is the one a fresh process writes."""
+        dataset, catalog = write_table1_files(tmp_path, repeats=2)
+        argv = ["select", "--dataset", str(dataset), "--catalog", str(catalog),
+                "--alpha", "0.2"]
+        trace = tmp_path / "t.csv"
+        assert main([*argv, "--k", "3", "--trace-csv", str(trace)]) == EXIT_OK
+        trace.unlink()
+        assert main([*argv, "--alpha", "7"]) == EXIT_BAD_CONFIG
+        capsys.readouterr()
+        assert main(argv) == EXIT_OK
+        report = capsys.readouterr().out
+        assert json.loads(report)["config"]["k"] == 1
+        assert not trace.exists()
+        proc = subprocess.run([sys.executable, "-m", "fpselect.cli", *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == EXIT_OK
+        assert proc.stdout == report
 
     @pytest.mark.parametrize("alpha, dataset_line, status", [
         ("0.01", None, EXIT_NO_SOLUTION),

@@ -7,6 +7,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpselect import (
     AttributeSpec,
@@ -25,6 +27,7 @@ from fpselect import (
     select_greedy,
     sensitivity,
     total_cost,
+    uniform_attacker,
 )
 from fpselect.synth import SynthAttribute, SynthConfig, synthesize
 
@@ -147,7 +150,7 @@ class TestSelectGreedy:
         result = select_greedy(dataset_with_pairs, attacker, config)
         assert not result.is_no_solution
         assert result.sensitivity <= 1.0
-        assert len(result.chosen) == 1  # every singleton already satisfies
+        assert result.chosen == ()  # the empty set reaches everyone, as alpha 1 allows
 
     def test_finds_the_known_optimum_on_the_worked_example(
         self, dataset_with_pairs
@@ -377,6 +380,26 @@ class TestExhaustive:
 
 
 class TestOracleDominance:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), uniform=st.booleans(),
+           beta=st.integers(1, 4), alpha=st.one_of(st.just(1.0), st.floats(0.05, 1.0)))
+    def test_greedy_at_full_width_costs_what_the_oracle_costs(
+        self, seed, uniform, beta, alpha
+    ):
+        """Exact matching against a population or uniform attacker keeps
+        sensitivity monotone, so greedy with k = 2^n prunes no optimum; at
+        alpha 1 that optimum is the empty set."""
+        ds = random_synth(random.Random(seed), max_attrs=5)
+        attacker = (uniform_attacker if uniform else population_attacker)(ds, beta)
+        config = SelectionConfig(alpha=alpha, k=2 ** len(ds.catalog.names))
+        oracle = select_exhaustive(ds, attacker, config)
+        greedy = select_greedy(ds, attacker, config)
+        if oracle.is_no_solution:
+            assert greedy.is_no_solution
+        else:
+            assert greedy.breakdown.total_points == pytest.approx(
+                oracle.breakdown.total_points)
+
     def test_heuristics_never_beat_the_oracle(self):
         rng = random.Random(17)
         ratios = []
