@@ -175,7 +175,7 @@ def load_catalog(path: str | Path) -> AttributeCatalog:
                 raise SchemaError(f"{path}: entry {i}: {text} must be a string")
         try:
             threshold = as_float(entry.get("match_threshold", 0.0))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise SchemaError(
                 f"{path}: entry {i}: match_threshold must be a number"
             ) from None

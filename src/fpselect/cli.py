@@ -365,8 +365,6 @@ def _add_common_selection_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--pmf-path", dest="pmf_path",
                         help="attacker PMF file for --knowledge file")
     parser.add_argument("--seed", type=int, help="seed recorded in the report")
-    parser.add_argument("--trace-csv", dest="trace_csv",
-                        help="also write per-stage exploration counts as CSV")
 
 
 @functools.cache  # parse_args keeps its state in the namespace it returns
@@ -398,6 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="refuse to enumerate above this attribute count")
     _add_common_selection_flags(p_oracle)
     p_oracle.set_defaults(handler=_cmd_search, method="oracle")
+    for p_search in (p_select, p_baseline, p_oracle):
+        p_search.add_argument("--trace-csv", dest="trace_csv",
+                              help="also write per-stage exploration counts as CSV")
 
     p_eval = sub.add_parser("evaluate", help="measure a hand-picked set")
     p_eval.add_argument("--attrs", required=True,

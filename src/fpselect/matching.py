@@ -251,25 +251,23 @@ def calibrate_thresholds(
         raise ConfigError("negative_cap must be >= 1")
     catalog, coded = dataset.catalog, dataset.codes
     members = dataset.browser_rows
-    # Ordinals stay below the browser count, so a larger divisor leaves them
-    # as they are; capping it keeps a huge count from overflowing a C long.
-    window = dataset._ordinals[dataset._pairs[0]] % min(windows, len(members))
     measures = [_pair_distances(attr, list(lookup))
                 for attr, lookup in zip(catalog.attributes, coded.lookup)]
 
     window_thresholds: dict[str, list[float]] = {a: [] for a in catalog.names}
     for w in range(windows):
-        earlier, later = dataset._pairs[:, window == w]
-        if not earlier.size:
+        browsers = range(w, len(members), windows)
+        pairs = [pair for b in browsers for pair in pairwise(members[b])]
+        if not pairs:
             raise ConfigError(
                 f"window {w}: no consecutive same-browser fingerprints"
             )
-        browsers = range(w, len(members), windows)
         if len(browsers) < 2:
             raise ConfigError(f"window {w}: needs at least two browsers")
+        earlier, later = coded.matrix[list(zip(*pairs))]
         for j, (attr, measure) in enumerate(zip(catalog.attributes, measures)):
             column = coded.matrix[:, j]
-            positives = measure(column[earlier], column[later])
+            positives = measure(earlier[:, j], later[:, j])
             firsts, seconds = _negative_rows(
                 _derived_rng(seed, w, attr.name), browsers, members,
                 min(len(positives), negative_cap),

@@ -135,7 +135,7 @@ def attacker_from_file(
             raise SchemaError(f"{path}: entry {i} needs a 'values' array and 'p'")
         try:
             p = as_float(entry["p"])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise SchemaError(f"{path}: entry {i}: 'p' must be a number") from None
         if not all(isinstance(v, str) for v in entry["values"]):
             raise SchemaError(f"{path}: entry {i}: values must be strings")
@@ -266,7 +266,7 @@ def impersonated_share(
         counts = np.unique(keys, return_counts=True)[1]
         beta = min(attacker.beta, len(counts))
         return int(np.partition(counts, -beta)[-beta:].sum()) / len(keys)
-    reached = impersonated_mask(canon, attacker, dataset)
+    reached = _reached(canon, attacker, catalog, dataset.stored_codes)
     return int(np.count_nonzero(reached)) / len(reached)
 
 

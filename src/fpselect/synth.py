@@ -9,7 +9,7 @@ fully correlated pairs.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -62,12 +62,16 @@ class SynthAttribute:
                               f" leaves some of {self.cardinality} values out")
         if not 0.0 <= self.change_prob <= 1.0:
             raise ConfigError(f"attribute {self.name!r}: change_prob outside [0, 1]")
-        if not 0 <= self.mean_collect_ms < math.inf:
+        # An int compares exactly, so a float bound also refuses one that
+        # overflows a float; str.zfill takes no width past sys.maxsize.
+        if not 0 <= self.mean_collect_ms <= sys.float_info.max:
             raise ConfigError(
-                f"attribute {self.name!r}: collection time must be finite and >= 0"
+                f"attribute {self.name!r}: mean_collect_ms must be finite and >= 0"
             )
-        if self.value_bytes < 1:
-            raise ConfigError(f"attribute {self.name!r}: value_bytes must be >= 1")
+        if not 1 <= self.value_bytes <= sys.maxsize:
+            raise ConfigError(
+                f"attribute {self.name!r}: value_bytes must be in [1, {sys.maxsize}]"
+            )
         if not isinstance(self.is_async, bool):
             raise ConfigError(
                 f"attribute {self.name!r}: is_async must be true or false"

@@ -3,11 +3,24 @@
 from __future__ import annotations
 
 import json
+import warnings
 from pathlib import Path
 
 import pytest
 
 from fpselect import AttributeCatalog, AttributeSpec, Dataset, Observation
+
+# Hypothesis imports this module, and with it libcst where that is installed,
+# to suggest a patch for a failing test. libcst's import warns (a
+# DeprecationWarning from mypy_extensions), which -W error turns into an
+# INTERNALERROR that hides the failure. Imported here once, with that warning
+# ignored, the module is cached for the plugin.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # no libcst
+        pass
 
 # Six users sharing four exact-match attributes. CookieEnabled is constant,
 # Language and Timezone are correlated (Timezone is a function of Language),

@@ -189,6 +189,19 @@ class TestSelectCommand:
         assert status == EXIT_OK
         assert out.exists()
 
+    def test_env_variables_provide_calibrate_default_paths(
+        self, tmp_path, table1_paths, monkeypatch
+    ):
+        dataset, catalog = table1_paths
+        flagged, out = tmp_path / "flagged.json", tmp_path / "report.json"
+        assert main(["calibrate", "--windows", "2", "--dataset", str(dataset),
+                     "--catalog", str(catalog), "--out", str(flagged)]) == EXIT_OK
+        monkeypatch.setenv("FPSELECT_DATASET", str(dataset))
+        monkeypatch.setenv("FPSELECT_CATALOG", str(catalog))
+        monkeypatch.setenv("FPSELECT_OUT", str(out))
+        assert main(["calibrate", "--windows", "2"]) == EXIT_OK
+        assert out.read_bytes() == flagged.read_bytes()
+
     def test_run_config_file_with_flag_overrides(self, tmp_path, table1_paths):
         dataset, catalog = table1_paths
         run_config = tmp_path / "run.json"
@@ -467,9 +480,14 @@ def _number_calibration(tmp_path, value):
             "--windows", "1"]
 
 
+# A JSON integer past the float range: ``float`` of it raises OverflowError.
+BIG = "9" * 400
+
+
 def _huge(obj) -> str:
-    """JSON text of ``obj`` with every ``"HUGE"`` string written as 1e400."""
-    return json.dumps(obj).replace('"HUGE"', "1e400")
+    """JSON text of ``obj`` with every ``"HUGE"`` string written as 1e400,
+    which reads as infinity, and every ``"BIG"`` string as ``BIG``."""
+    return json.dumps(obj).replace('"HUGE"', "1e400").replace('"BIG"', BIG)
 
 
 def _run_config(tmp_path, dataset, catalog, **fields):
@@ -483,7 +501,7 @@ def _run_config(tmp_path, dataset, catalog, **fields):
 def _catalog_entry(tmp_path, dataset, catalog, **fields):
     entries = json.loads(catalog.read_text())
     entries[0].update(fields)
-    catalog.write_text(json.dumps(entries))
+    catalog.write_text(_huge(entries))
     return ["select", "--dataset", str(dataset), "--catalog", str(catalog),
             "--alpha", "0.2"]
 
@@ -518,7 +536,7 @@ def _dataset_line(tmp_path, dataset, catalog, line):
 def _file_attacker(tmp_path, dataset, catalog, entries,
                    attributes=sorted(TABLE1_ATTRS)):
     pmf = tmp_path / "pmf.json"
-    pmf.write_text(json.dumps({"attributes": attributes, "entries": entries}))
+    pmf.write_text(_huge({"attributes": attributes, "entries": entries}))
     return ["select", "--dataset", str(dataset), "--catalog", str(catalog),
             "--alpha", "0.2", "--knowledge", "file", "--pmf-path", str(pmf)]
 
@@ -604,6 +622,8 @@ MALFORMED = {
         t, d, c, match_threshold="x"),
     "catalog-threshold-bool": lambda t, d, c: _catalog_entry(
         t, d, c, kind="text", match_threshold=True),
+    "catalog-threshold-big-int": lambda t, d, c: _catalog_entry(
+        t, d, c, kind="text", match_threshold="BIG"),
     "catalog-async-string": lambda t, d, c: _catalog_entry(t, d, c, **{
         "async": "false"}),
     "catalog-not-an-array": lambda t, d, c: _catalog_text(t, d, c, "{}"),
@@ -626,6 +646,8 @@ MALFORMED = {
         t, d, c, [{"values": ["True", "fr", "1080", "-1"], "p": "abc"}]),
     "pmf-probability-bool": lambda t, d, c: _file_attacker(
         t, d, c, [{"values": ["True", "fr", "1080", "-1"], "p": True}]),
+    "pmf-probability-big-int": lambda t, d, c: _file_attacker(
+        t, d, c, [{"values": ["True", "fr", "1080", "-1"], "p": "BIG"}]),
     "pmf-entries-number": lambda t, d, c: _file_attacker(t, d, c, 5),
     "pmf-attributes-number": lambda t, d, c: _file_attacker(
         t, d, c, [{"values": ["True", "fr", "1080", "-1"], "p": 1.0}], attributes=5),
@@ -649,6 +671,9 @@ MALFORMED = {
     "config-pmf-path-nul": lambda t, d, c: _run_config(
         t, d, c, knowledge="file", pmf_path=NUL_PATH),
     "path-trace-csv-surrogate": _with_flag(_search, "--trace-csv", SURROGATE_PATH),
+    # Only the searches have a trace to export.
+    "evaluate-trace-csv": lambda t, d, c: [
+        *_evaluate(t, d, c), "--trace-csv", str(t / "trace.csv")],
     "path-stats-out-surrogate": _with_flag(_evaluate, "--stats-out", SURROGATE_PATH),
     "path-stats-csv-nul": _with_flag(_evaluate, "--stats-csv", NUL_PATH),
     "path-catalog-surrogate": _with_flag(_search, "--catalog", SURROGATE_PATH),
@@ -658,6 +683,7 @@ MALFORMED = {
         *_synth_config(t), "--catalog-out", SURROGATE_PATH],
     "config-alpha": lambda t, d, c: _run_config(t, d, c, alpha="x"),
     "config-alpha-bool": lambda t, d, c: _run_config(t, d, c, alpha=True),
+    "config-alpha-big-int": lambda t, d, c: _run_config(t, d, c, alpha="BIG"),
     "config-weights": lambda t, d, c: _run_config(t, d, c, weights=["a", 1, 1]),
     "config-array": lambda t, d, c: _config_text(t, "select", "[]"),
     "config-knowledge-unknown": lambda t, d, c: _run_config(t, d, c, knowledge="foo"),
@@ -697,6 +723,11 @@ MALFORMED = {
         t, mean_collect_ms=True),
     "synth-collect-ms-overflow": lambda t, d, c: _synth_config(
         t, mean_collect_ms="HUGE"),
+    **{
+        f"synth-{field.replace('_', '-')}-big-int": lambda t, d, c, field=field:
+            _synth_config(t, **{field: "BIG"})
+        for field in ("zipf_skew", "change_prob", "mean_collect_ms", "value_bytes")
+    },
     "synth-skew-negative": lambda t, d, c: _synth_config(t, zipf_skew=-1),
     "synth-no-observations": lambda t, d, c: _synth_config(
         t, observations_per_browser=0),
@@ -715,6 +746,9 @@ MALFORMED = {
         t, d, c, collect_ms={"Screen": float("nan")}),
     "bool-collect-ms": lambda t, d, c: _first_row(
         t, d, c, collect_ms={"Screen": True}),
+    "big-int-collect-ms": lambda t, d, c: _first_row(
+        t, d, c, collect_ms={"Screen": "BIG"}),
+    "collect-ms-array": lambda t, d, c: _first_row(t, d, c, collect_ms=[1]),
     "value-lone-surrogate": lambda t, d, c: _first_row(t, d, c, values={
         **json.loads(d.read_text().splitlines()[0])["values"], "Screen": "\ud800"}),
     "browser-id-null": lambda t, d, c: _first_row(t, d, c, browser_id=None),
@@ -845,6 +879,7 @@ def test_a_path_no_file_can_have_is_refused_before_any_input_is_read(
     run = tmp_path / "run.json"
     run.write_text(json.dumps({"dataset": missing, "catalog": missing, "out": bad}))
     argv = {
+        "--trace-csv": ["select", *inputs, "--alpha", "0.5"],
         "--write-catalog": ["calibrate", *inputs],
         "synth --config": ["synth", "--out", missing],
         "synth --out": ["synth", "--config", missing],
@@ -870,8 +905,12 @@ def test_a_path_no_file_can_have_is_refused_before_any_input_is_read(
     ({"zipf_skew": 2000}, "attribute 'alpha': zipf_skew 2000 leaves some of 6"
                           " values out"),
     ({"zipf_skew": float("nan")}, "attribute 'alpha': zipf_skew must be >= 0"),
+    ({"mean_collect_ms": "BIG"},
+     "attribute 'alpha': mean_collect_ms must be finite and >= 0"),
+    ({"value_bytes": "BIG"},
+     f"attribute 'alpha': value_bytes must be in [1, {sys.maxsize}]"),
 ], ids=["attribute", "lone-surrogate-name", "kind", "copy", "config", "skew-underflow",
-        "skew-nan"])
+        "skew-nan", "collect-ms-big-int", "value-bytes-big-int"])
 def test_generator_config_faults_name_the_file(tmp_path, capsys, fields, message):
     out = tmp_path / "out.jsonl"
     argv = [*_synth_config(tmp_path, **fields), "--out", str(out)]
