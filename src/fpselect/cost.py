@@ -121,7 +121,7 @@ def _time_cost(canon: tuple[str, ...], dataset: Dataset) -> float:
     for a in canon:
         if dataset.catalog.spec(a).is_async:
             np.maximum(per_obs, times[a], out=per_obs)
-    return float(per_obs.mean())
+    return float(per_obs.sum() / len(per_obs))
 
 
 def _ins_cost(canon: tuple[str, ...], dataset: Dataset) -> float:

@@ -115,6 +115,7 @@ class CodedRows:
         Keys sort like the rows' code tuples on ``cols``. Each is the
         mixed-radix number of those codes; before the next column could
         overflow it, the keys are renumbered densely, which keeps their order.
+        The array is a fresh one, so callers may sort it in place.
         """
         keys = np.zeros(len(self.matrix), dtype=np.int64)
         span = 1
@@ -123,7 +124,8 @@ class CodedRows:
             if span * size > _KEY_LIMIT:
                 distinct, keys = np.unique(keys, return_inverse=True)
                 span = len(distinct)
-            keys = keys * size + self.matrix[:, c]
+            keys *= size
+            keys += self.matrix[:, c]
             span *= size
         return keys
 
@@ -444,19 +446,28 @@ def pmf(dataset: Dataset, attrs: Iterable[str]) -> Pmf:
     return Pmf(canon, tuple(zip(rows.decode(), probabilities)))
 
 
+def run_bounds(ordered: np.ndarray) -> np.ndarray:
+    """Where each run of equal values in sorted ``ordered`` starts, then ``len``."""
+    change = np.empty(len(ordered) + 1, dtype=bool)
+    change[0] = change[-1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=change[1:-1])
+    return change.nonzero()[0]
+
+
 def joint_entropy_bits(dataset: Dataset, attrs: Iterable[str]) -> float:
     """Shannon entropy of the projected stored fingerprints, in bits."""
     canon = dataset.catalog.canonical(attrs)
-    stored = dataset.stored_codes
-    keys = stored.group_keys(column_indices(dataset.catalog.names, canon))
-    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    keys = dataset.stored_codes.group_keys(column_indices(dataset.catalog.names, canon))
+    # In a stable order each run starts at its group's first row.
+    order = keys.argsort(kind="stable")
+    bounds = run_bounds(keys[order])
+    starts = bounds[:-1]
+    sizes = (bounds[1:] - starts)[order[starts].argsort()].tolist()
     population = len(keys)
+    term = {c: (c / population) * math.log2(c / population) for c in set(sizes)}
     # Terms in order of first appearance, through math.log2 and the builtin
     # sum: the baselines rank on these floats, and ties hinge on the last ulp.
-    return -sum(
-        (c / population) * math.log2(c / population)
-        for c in counts[np.argsort(first)].tolist()
-    )
+    return -sum(map(term.__getitem__, sizes))
 
 
 def consecutive_pairs(dataset: Dataset) -> list[tuple[ValueTuple, ValueTuple]]:

@@ -26,6 +26,7 @@ from .dataset import (
     ValueTuple,
     column_indices,
     encode_rows,
+    run_bounds,
 )
 from .errors import ConfigError, SchemaError
 from .matching import attr_match
@@ -263,9 +264,12 @@ def impersonated_share(
         # counts. A tie at the boundary changes who is reached, not how
         # many, and float masses never reorder groups of unequal counts.
         keys = dataset.stored_codes.group_keys(column_indices(catalog.names, canon))
-        counts = np.unique(keys, return_counts=True)[1]
+        keys.sort()
+        bounds = run_bounds(keys)
+        counts = bounds[1:] - bounds[:-1]
+        counts.sort()
         beta = min(attacker.beta, len(counts))
-        return int(np.partition(counts, -beta)[-beta:].sum()) / len(keys)
+        return int(counts[-beta:].sum()) / len(keys)
     reached = _reached(canon, attacker, catalog, dataset.stored_codes)
     return int(np.count_nonzero(reached)) / len(reached)
 

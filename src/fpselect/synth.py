@@ -55,8 +55,17 @@ class SynthAttribute:
                 raise ConfigError(f"attribute {self.name!r}: {param} must be a number")
         if self.copy_of is None and self.cardinality < 1:
             raise ConfigError(f"attribute {self.name!r}: cardinality must be >= 1")
+        if self.copy_of is None and self.cardinality > sys.maxsize:
+            raise ConfigError(
+                f"attribute {self.name!r}: cardinality must be <= {sys.maxsize}"
+            )
         if not self.zipf_skew >= 0:
             raise ConfigError(f"attribute {self.name!r}: zipf_skew must be >= 0")
+        # An int compares exactly, so this bound refuses one past a float.
+        if self.zipf_skew > sys.float_info.max:
+            raise ConfigError(
+                f"attribute {self.name!r}: zipf_skew must be <= {sys.float_info.max}"
+            )
         if self.copy_of is None and not self.cardinality ** -self.zipf_skew > 0:
             raise ConfigError(f"attribute {self.name!r}: zipf_skew {self.zipf_skew}"
                               f" leaves some of {self.cardinality} values out")

@@ -905,12 +905,16 @@ def test_a_path_no_file_can_have_is_refused_before_any_input_is_read(
     ({"zipf_skew": 2000}, "attribute 'alpha': zipf_skew 2000 leaves some of 6"
                           " values out"),
     ({"zipf_skew": float("nan")}, "attribute 'alpha': zipf_skew must be >= 0"),
+    ({"zipf_skew": "BIG"},
+     f"attribute 'alpha': zipf_skew must be <= {sys.float_info.max}"),
+    ({"cardinality": "BIG"}, f"attribute 'alpha': cardinality must be <= {sys.maxsize}"),
     ({"mean_collect_ms": "BIG"},
      "attribute 'alpha': mean_collect_ms must be finite and >= 0"),
     ({"value_bytes": "BIG"},
      f"attribute 'alpha': value_bytes must be in [1, {sys.maxsize}]"),
 ], ids=["attribute", "lone-surrogate-name", "kind", "copy", "config", "skew-underflow",
-        "skew-nan", "collect-ms-big-int", "value-bytes-big-int"])
+        "skew-nan", "skew-big-int", "cardinality-big-int", "collect-ms-big-int",
+        "value-bytes-big-int"])
 def test_generator_config_faults_name_the_file(tmp_path, capsys, fields, message):
     out = tmp_path / "out.jsonl"
     argv = [*_synth_config(tmp_path, **fields), "--out", str(out)]

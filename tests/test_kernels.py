@@ -11,6 +11,7 @@ The column loader must give the row loader's views, or its error message.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import importlib
 import itertools
 import random
@@ -42,6 +43,7 @@ from fpselect import (
     pmf,
     population_attacker,
     project,
+    time_cost,
     uniform_attacker,
 )
 from fpselect.dataset import encode_rows, load_observations
@@ -354,6 +356,35 @@ def test_cost_columns_match_row_walks(instance):
         assert all(type(v) is int for v in got.values())
 
 
+@SETTINGS
+@given(instances(), st.data())
+def test_time_cost_is_the_mean_bit_for_bit(instance, data):
+    """The time cost is ``np.mean`` of the per-observation times: the sync
+    times summed in canonical order, then the maximum with each async time."""
+    dataset, _ = instance
+    names = dataset.catalog.names
+    catalog = AttributeCatalog(tuple(
+        dataclasses.replace(dataset.catalog.spec(a), is_async=data.draw(st.booleans()))
+        for a in names))
+    times = st.one_of(st.sampled_from([0.0, 0.1, 0.2, 0.3, 1e-3]),
+                      st.floats(0, 1e4, allow_subnormal=False))
+    observations = tuple(
+        Observation(o.browser_id, o.seq, o.values, {a: data.draw(times) for a in names})
+        for o in dataset.observations)
+    timed = Dataset(catalog, observations)
+    attrs = data.draw(subsets(names))
+    canon = catalog.canonical(attrs)
+    columns = reference.attribute_times(catalog, timed.observations)
+    per_obs = np.zeros(len(observations))
+    for a in canon:
+        if not catalog.spec(a).is_async:
+            per_obs += columns[a]
+    for a in canon:
+        if catalog.spec(a).is_async:
+            per_obs = np.maximum(per_obs, columns[a])
+    assert time_cost(attrs, timed) == float(np.mean(per_obs))
+
+
 @st.composite
 def dataset_lines(draw, dataset):
     """JSON lines of ``dataset`` with blank lines, times for some attributes,
@@ -663,19 +694,45 @@ def test_kronecker_pair_distances_compare_codes(kind):
     assert 0.0 in got and 1.0 in got
 
 
-def test_group_keys_renumber_before_overflow():
+def _wide_rows():
     # Seven columns of about 3,000 distinct values each: their mixed-radix
     # product passes 2**62 after the fifth, so the keys are renumbered on
-    # the way. They must still sort and compare like the value tuples.
+    # the way. The last 300 rows repeat the first 300.
     rng = random.Random(5)
     rows = [tuple(str(rng.randrange(10**6)) for _ in range(7)) for _ in range(3000)]
-    rows += rows[:300]
+    return rows + rows[:300]
+
+
+def test_group_keys_renumber_before_overflow():
+    # The keys must still sort and compare like the value tuples.
+    rows = _wide_rows()
     coded = encode_rows(rows, 7)
     assert np.prod([len(c) for c in coded.lookup], dtype=float) > 2.0**62
     keys = coded.group_keys(range(7))
     order = np.argsort(keys, kind="stable").tolist()
     assert [rows[i] for i in order] == sorted(rows)
     assert len(set(keys.tolist())) == len(set(rows))
+
+
+def test_renumbered_keys_count_like_the_reference():
+    """Entropy and count-path reach over keys renumbered on the way agree
+    with the reference, twice over, and leave the stored codes as they were."""
+    catalog = AttributeCatalog(tuple(AttributeSpec(f"c{j}", "category")
+                                     for j in range(7)))
+    dataset = Dataset(catalog, tuple(
+        Observation(f"u{i}", 0, dict(zip(catalog.names, row)), {})
+        for i, row in enumerate(_wide_rows())))
+    stored = dataset.stored_codes.matrix.copy()
+    names, mapping = catalog.names, dataset.user_mapping
+    entropy = reference.joint_entropy_bits(dataset, names)
+    for beta in (1, 4, sys.maxsize + 1):
+        attacker = population_attacker(dataset, beta)
+        share = len(reference.impersonated_users(names, attacker, mapping, catalog))
+        for _ in range(2):
+            assert joint_entropy_bits(dataset, names) == entropy
+            assert SENSITIVITY.impersonated_share(names, attacker, dataset) == (
+                share / len(mapping))
+    assert np.array_equal(dataset.stored_codes.matrix, stored)
 
 
 def test_product_masses_are_running_sums():
