@@ -42,7 +42,7 @@ from .sensitivity import (
     population_attacker,
     uniform_attacker,
 )
-from .synth import load_synth_config, synth_catalog, synthesize
+from .synth import load_synth_config, synth_catalog, synth_observations
 
 EXIT_OK = 0
 EXIT_NO_SOLUTION = 2
@@ -78,9 +78,7 @@ class RunConfig:
     out: str | None
 
     def validate_paths(self) -> None:
-        for label, value in (("dataset", self.dataset), ("catalog", self.catalog)):
-            if not value:
-                raise ConfigError(f"missing {label} path")
+        _require_inputs(self.dataset, self.catalog)
         if self.knowledge == "file" and not self.pmf_path:
             raise ConfigError("knowledge 'file' requires --pmf-path")
 
@@ -90,6 +88,12 @@ class RunConfig:
                   if f.name not in ("pmf_path", "out")}
         config["weights"] = list(self.weights.as_tuple())
         return config
+
+
+def _require_inputs(dataset: str, catalog: str) -> None:
+    for label, value in (("dataset", dataset), ("catalog", catalog)):
+        if not value:
+            raise ConfigError(f"missing {label} path")
 
 
 def _progress(message: str) -> None:
@@ -306,10 +310,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
-    dataset_path = args.dataset or os.environ.get(ENV_DATASET)
-    catalog_path = args.catalog or os.environ.get(ENV_CATALOG)
-    if not dataset_path or not catalog_path:
-        raise ConfigError("calibrate requires --dataset and --catalog")
+    dataset_path = _pick(args.dataset, {}, "dataset", "", ENV_DATASET)
+    catalog_path = _pick(args.catalog, {}, "catalog", "", ENV_CATALOG)
+    _require_inputs(dataset_path, catalog_path)
     catalog = load_catalog(catalog_path)
     dataset = load_observations(dataset_path, catalog)
     report = calibrate_thresholds(
@@ -318,7 +321,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     payload = {"config": {"windows": args.windows, "seed": args.seed,
                           "negative_cap": args.negative_cap},
                **report.to_json()}
-    _write_report(payload, args.out or os.environ.get(ENV_OUT))
+    _write_report(payload, _pick(args.out, {}, "out", None, ENV_OUT))
     if args.write_catalog:
         save_catalog(report.apply(catalog), args.write_catalog)
         _progress(f"calibrated catalog written to {args.write_catalog}")
@@ -327,11 +330,10 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     config = load_synth_config(args.config)
-    dataset = synthesize(config, args.seed)
-    save_dataset(dataset, args.out)
+    save_dataset(synth_observations(config, args.seed), args.out)
     _progress(
-        f"wrote {len(dataset)} observations"
-        f" for {len(dataset.browser_ids)} browsers to {args.out}"
+        f"wrote {config.browsers * config.observations_per_browser} observations"
+        f" for {config.browsers} browsers to {args.out}"
     )
     if args.catalog_out:
         save_catalog(synth_catalog(config), args.catalog_out)

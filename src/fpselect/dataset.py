@@ -422,10 +422,10 @@ def _json_rows(path: Path, handle: Iterable[str]) -> Iterator[tuple]:
                 raise SchemaError(f"{where}: invalid JSON: {exc}") from exc
 
 
-def save_dataset(dataset: Dataset, path: str | Path) -> None:
-    """Write observations back out as JSON Lines."""
+def save_dataset(observations: Iterable[Observation], path: str | Path) -> None:
+    """Write observations out as JSON Lines, one at a time."""
     with Path(path).open("w", encoding="utf-8") as handle:
-        for obs in dataset.observations:
+        for obs in observations:
             handle.write(json.dumps(vars(obs), sort_keys=True) + "\n")
 
 

@@ -10,6 +10,7 @@ fully correlated pairs.
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,14 +20,20 @@ from .catalog import AttributeCatalog, AttributeSpec, as_int, read_json
 from .dataset import Dataset, Observation
 from .errors import ConfigError, SchemaError
 
+# Bounds that the rank weights and a drawn value can always be allocated at.
+MAX_CARDINALITY = 2**20
+MAX_VALUE_BYTES = 2**16
+# A time is drawn as uniform(0.5, 1.5) * mean, whose factor can round to 1.5.
+MAX_MEAN_COLLECT_MS = sys.float_info.max / 2
+
 
 @dataclass(frozen=True)
 class SynthAttribute:
     """Generator parameters for one attribute.
 
     ``copy_of`` turns the attribute into a deterministic function of the
-    named source attribute: its value pool is indexed by the source's
-    current value, so its conditional entropy given the source is zero.
+    named source attribute: its value is the source's current rank, so its
+    conditional entropy given the source is zero.
     For copies, ``cardinality``, ``zipf_skew``, and ``change_prob`` are
     inherited from the source.
     """
@@ -55,9 +62,9 @@ class SynthAttribute:
                 raise ConfigError(f"attribute {self.name!r}: {param} must be a number")
         if self.copy_of is None and self.cardinality < 1:
             raise ConfigError(f"attribute {self.name!r}: cardinality must be >= 1")
-        if self.copy_of is None and self.cardinality > sys.maxsize:
+        if self.copy_of is None and self.cardinality > MAX_CARDINALITY:
             raise ConfigError(
-                f"attribute {self.name!r}: cardinality must be <= {sys.maxsize}"
+                f"attribute {self.name!r}: cardinality must be <= {MAX_CARDINALITY}"
             )
         if not self.zipf_skew >= 0:
             raise ConfigError(f"attribute {self.name!r}: zipf_skew must be >= 0")
@@ -72,15 +79,13 @@ class SynthAttribute:
         if not 0.0 <= self.change_prob <= 1.0:
             raise ConfigError(f"attribute {self.name!r}: change_prob outside [0, 1]")
         # An int compares exactly, so a float bound also refuses one that
-        # overflows a float; str.zfill takes no width past sys.maxsize.
-        if not 0 <= self.mean_collect_ms <= sys.float_info.max:
-            raise ConfigError(
-                f"attribute {self.name!r}: mean_collect_ms must be finite and >= 0"
-            )
-        if not 1 <= self.value_bytes <= sys.maxsize:
-            raise ConfigError(
-                f"attribute {self.name!r}: value_bytes must be in [1, {sys.maxsize}]"
-            )
+        # overflows a float.
+        if not 0 <= self.mean_collect_ms <= MAX_MEAN_COLLECT_MS:
+            raise ConfigError(f"attribute {self.name!r}: mean_collect_ms must be"
+                              f" in [0, {MAX_MEAN_COLLECT_MS}]")
+        if not 1 <= self.value_bytes <= MAX_VALUE_BYTES:
+            raise ConfigError(f"attribute {self.name!r}: value_bytes must be"
+                              f" in [1, {MAX_VALUE_BYTES}]")
         if not isinstance(self.is_async, bool):
             raise ConfigError(
                 f"attribute {self.name!r}: is_async must be true or false"
@@ -156,13 +161,6 @@ def synth_catalog(config: SynthConfig) -> AttributeCatalog:
     )
 
 
-def _value_pool(attr: SynthAttribute, cardinality: int) -> list[str]:
-    # Zero-padded decimal values: fixed byte width, lexicographic order
-    # agrees with rank order (rank 0 is the most probable value).
-    width = max(attr.value_bytes, len(str(max(cardinality - 1, 0))))
-    return [str(i).zfill(width) for i in range(cardinality)]
-
-
 def _rank_weights(cardinality: int, skew: float) -> np.ndarray:
     ranks = np.arange(1, cardinality + 1, dtype=float)
     weights = ranks ** -skew
@@ -171,17 +169,29 @@ def _rank_weights(cardinality: int, skew: float) -> np.ndarray:
 
 def synthesize(config: SynthConfig, seed: int) -> Dataset:
     """Generate a dataset; identical (config, seed) pairs yield identical data."""
-    rng = np.random.default_rng(seed)
-    sources = [a for a in config.attributes if a.copy_of is None]
-    copies = [a for a in config.attributes if a.copy_of is not None]
-    by_name = {a.name: a for a in config.attributes}
+    return Dataset(synth_catalog(config), synth_observations(config, seed))
 
-    pools = {a.name: _value_pool(a, a.cardinality) for a in sources}
-    for c in copies:
-        pools[c.name] = _value_pool(c, by_name[c.copy_of].cardinality)
+
+def synth_observations(config: SynthConfig, seed: int) -> Iterator[Observation]:
+    """The observations of ``synthesize(config, seed)``, each yielded as it is
+    drawn. The seed is checked here, before the first draw."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return _drawn(config, np.random.default_rng(seed))
+
+
+def _drawn(config: SynthConfig, rng: np.random.Generator) -> Iterator[Observation]:
+    sources = [a for a in config.attributes if a.copy_of is None]
+    by_name = {a.name: a for a in config.attributes}
+    # Zero-padded decimal values: fixed byte width, lexicographic order
+    # agrees with rank order (rank 0 is the most probable value).
+    widths = {
+        a.name: max(a.value_bytes,
+                    len(str(max(by_name[a.copy_of or a.name].cardinality - 1, 0))))
+        for a in config.attributes
+    }
     weights = {a.name: _rank_weights(a.cardinality, a.zipf_skew) for a in sources}
 
-    observations: list[Observation] = []
     for b in range(config.browsers):
         browser_id = f"b{b:05d}"
         state = {
@@ -200,20 +210,17 @@ def synthesize(config: SynthConfig, seed: int) -> Dataset:
             values: dict[str, str] = {}
             collect: dict[str, float] = {}
             for attr in config.attributes:
-                idx = state[attr.copy_of] if attr.copy_of else state[attr.name]
-                values[attr.name] = pools[attr.name][idx]
+                rank = state[attr.copy_of or attr.name]
+                values[attr.name] = str(rank).zfill(widths[attr.name])
                 if attr.mean_collect_ms > 0:
                     collect[attr.name] = float(
                         rng.uniform(0.5, 1.5) * attr.mean_collect_ms
                     )
                 else:
                     collect[attr.name] = 0.0
-            observations.append(
-                Observation(
-                    browser_id=browser_id, seq=t, values=values, collect_ms=collect
-                )
+            yield Observation(
+                browser_id=browser_id, seq=t, values=values, collect_ms=collect
             )
-    return Dataset(synth_catalog(config), tuple(observations))
 
 
 def _draw_different(rng: np.random.Generator, weights: np.ndarray, current: int) -> int:

@@ -6,10 +6,12 @@ import copy
 import importlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -202,6 +204,33 @@ class TestSelectCommand:
         assert main(["calibrate", "--windows", "2"]) == EXIT_OK
         assert out.read_bytes() == flagged.read_bytes()
 
+    @pytest.mark.parametrize("command", [["select", "--alpha", "0.2"],
+                                         ["calibrate", "--windows", "2"]])
+    @pytest.mark.parametrize("flag", ["--dataset", "--catalog"])
+    def test_an_empty_input_flag_is_missing_whatever_the_environment(
+        self, tmp_path, table1_paths, monkeypatch, capsys, command, flag
+    ):
+        dataset, catalog = table1_paths
+        monkeypatch.setenv("FPSELECT_DATASET", str(dataset))
+        monkeypatch.setenv("FPSELECT_CATALOG", str(catalog))
+        capsys.readouterr()
+        assert main([*command, flag, ""]) == EXIT_BAD_CONFIG
+        assert capsys.readouterr().err == (
+            f"fpselect: invalid configuration: missing {flag[2:]} path\n")
+
+    @pytest.mark.parametrize("command", [["select", "--alpha", "0.2"],
+                                         ["calibrate", "--windows", "2"]])
+    def test_an_empty_out_flag_writes_to_stdout_whatever_the_environment(
+        self, tmp_path, table1_paths, monkeypatch, capsys, command
+    ):
+        dataset, catalog = table1_paths
+        monkeypatch.setenv("FPSELECT_OUT", str(tmp_path / "env.json"))
+        capsys.readouterr()
+        assert main([*command, "--dataset", str(dataset), "--catalog", str(catalog),
+                     "--out", ""]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)
+        assert not (tmp_path / "env.json").exists()
+
     def test_run_config_file_with_flag_overrides(self, tmp_path, table1_paths):
         dataset, catalog = table1_paths
         run_config = tmp_path / "run.json"
@@ -380,6 +409,45 @@ class TestSynthCommand:
             ])
             assert status == EXIT_OK
         assert first.read_bytes() == second.read_bytes()
+
+    def test_memory_does_not_grow_with_the_dataset(self, tmp_path):
+        """Each observation is written as it is drawn, so ten times the
+        browsers take about the same peak of traced memory."""
+        out = str(tmp_path / "out.jsonl")
+        assert main([*_synth_config(tmp_path, browsers=200), "--out", out]) == EXIT_OK
+        peaks = []
+        for browsers in (200, 2000):
+            argv = [*_synth_config(tmp_path, browsers=browsers), "--out", out]
+            tracemalloc.start()
+            try:
+                assert main(argv) == EXIT_OK
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 2 * peaks[0]
+
+    def test_every_bound_at_once(self, tmp_path):
+        """The largest cardinality, value width and mean time a generator
+        config takes give values of that width and finite times."""
+        out = tmp_path / "out.jsonl"
+        argv = _synth_config(tmp_path, browsers=1, cardinality=2**20,
+                             value_bytes=2**16, mean_collect_ms=sys.float_info.max / 2)
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert len(rows) == 2
+        assert {len(row["values"]["alpha"]) for row in rows} == {2**16}
+        assert all(0 < row["collect_ms"]["alpha"] < math.inf for row in rows)
+
+    def test_a_negative_seed_is_refused_before_the_output_exists(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "out.jsonl"
+        capsys.readouterr()
+        argv = [*_synth_config(tmp_path), "--seed", "-1", "--out", str(out)]
+        assert main(argv) == EXIT_BAD_CONFIG
+        assert capsys.readouterr().err == (
+            "fpselect: invalid configuration: seed must be >= 0, got -1\n")
+        assert not out.exists()
 
     def test_invalid_generator_config(self, tmp_path):
         config_path = tmp_path / "generator.json"
@@ -627,6 +695,12 @@ MALFORMED = {
     "catalog-async-string": lambda t, d, c: _catalog_entry(t, d, c, **{
         "async": "false"}),
     "catalog-not-an-array": lambda t, d, c: _catalog_text(t, d, c, "{}"),
+    **{
+        f"catalog-missing-{field}": lambda t, d, c, field=field: _catalog_text(
+            t, d, c, json.dumps([{k: v for k, v in entry.items() if k != field}
+                                 for entry in json.loads(c.read_text())]))
+        for field in ("name", "kind")
+    },
     "catalog-empty": lambda t, d, c: _catalog_text(t, d, c, "[]"),
     "catalog-deep-nesting": lambda t, d, c: _catalog_text(t, d, c, DEEP),
     "catalog-unknown-field": lambda t, d, c: _catalog_entry(t, d, c, colour="red"),
@@ -789,6 +863,10 @@ def test_malformed_input_is_one_line_and_exit_3_or_4(tmp_path, capsys, case):
         assert str(tmp_path / "unusable") in err
     if case.startswith("catalog-"):
         assert f"{catalog}: " in err
+    if case.startswith("catalog-missing-"):
+        field = case.removeprefix("catalog-missing-")
+        assert err == (f"fpselect: schema error: {catalog}: entry 0:"
+                       f" missing field {field!r}\n")
     if case == "dataset-deep-nesting":
         assert f"{dataset}:13: invalid JSON: " in err
 
@@ -907,14 +985,20 @@ def test_a_path_no_file_can_have_is_refused_before_any_input_is_read(
     ({"zipf_skew": float("nan")}, "attribute 'alpha': zipf_skew must be >= 0"),
     ({"zipf_skew": "BIG"},
      f"attribute 'alpha': zipf_skew must be <= {sys.float_info.max}"),
-    ({"cardinality": "BIG"}, f"attribute 'alpha': cardinality must be <= {sys.maxsize}"),
+    ({"cardinality": "BIG"}, "attribute 'alpha': cardinality must be <= 1048576"),
+    ({"cardinality": 2**20 + 1}, "attribute 'alpha': cardinality must be <= 1048576"),
     ({"mean_collect_ms": "BIG"},
-     "attribute 'alpha': mean_collect_ms must be finite and >= 0"),
-    ({"value_bytes": "BIG"},
-     f"attribute 'alpha': value_bytes must be in [1, {sys.maxsize}]"),
+     "attribute 'alpha': mean_collect_ms must be in [0, 8.988465674311579e+307]"),
+    # A drawn time could reach 1.5 times this mean, past the float range.
+    ({"mean_collect_ms": 1.7e308},
+     "attribute 'alpha': mean_collect_ms must be in [0, 8.988465674311579e+307]"),
+    ({"value_bytes": "BIG"}, "attribute 'alpha': value_bytes must be in [1, 65536]"),
+    ({"value_bytes": 2**16 + 1},
+     "attribute 'alpha': value_bytes must be in [1, 65536]"),
 ], ids=["attribute", "lone-surrogate-name", "kind", "copy", "config", "skew-underflow",
-        "skew-nan", "skew-big-int", "cardinality-big-int", "collect-ms-big-int",
-        "value-bytes-big-int"])
+        "skew-nan", "skew-big-int", "cardinality-big-int", "cardinality-past-bound",
+        "collect-ms-big-int", "collect-ms-past-bound", "value-bytes-big-int",
+        "value-bytes-past-bound"])
 def test_generator_config_faults_name_the_file(tmp_path, capsys, fields, message):
     out = tmp_path / "out.jsonl"
     argv = [*_synth_config(tmp_path, **fields), "--out", str(out)]

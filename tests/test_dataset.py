@@ -167,6 +167,10 @@ class TestProject:
     def test_empty_target(self, dataset):
         assert project(dataset.user_mapping["u1"], dataset.catalog.names, ()) == ()
 
+    def test_tuple_of_the_wrong_length(self, dataset):
+        with pytest.raises(ValueError, match="^value tuple has 3 entries for 4 "):
+            project(dataset.user_mapping["u1"][:3], dataset.catalog.names, ())
+
     def test_not_a_subset(self, dataset):
         with pytest.raises(ValueError, match="Missing"):
             project(dataset.user_mapping["u1"], dataset.catalog.names, ("Missing",))
@@ -340,6 +344,10 @@ class TestSynthesize:
                 attributes=(SynthAttribute("a", copy_of="ghost"),),
             )
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="^seed must be >= 0, got -1$"):
+            synthesize(self.base_config(), seed=-1)
+
     def test_value_sizes_are_fixed_width(self):
         ds = synthesize(self.base_config(), seed=3)
         widths = {
@@ -359,6 +367,11 @@ class TestCatalogFile:
         with pytest.raises(SchemaError) as refused:
             load_catalog(path)
         assert str(refused.value) == f"{path}: entry 0: {field} must be a string"
+
+    def test_spec_of_an_unknown_name(self, catalog):
+        assert catalog.spec("Language").name == "Language"
+        with pytest.raises(SchemaError, match="^unknown attribute 'Ghost'$"):
+            catalog.spec("Ghost")
 
     def test_invalid_json_and_utf8_name_the_file(self, tmp_path):
         path = tmp_path / "catalog.json"

@@ -169,6 +169,12 @@ class TestImpersonatedUsers:
         )
         assert got == set(dataset.user_mapping)
 
+    def test_short_stored_fingerprint_rejected(self, dataset):
+        attacker = population_attacker(dataset, beta=1)
+        mapping = {**dataset.user_mapping, "u2": dataset.user_mapping["u2"][:3]}
+        with pytest.raises(ValueError, match="^value tuple has 3 entries for 4 "):
+            impersonated_users(("Language",), attacker, mapping, dataset.catalog)
+
     def test_empty_population_rejected(self, dataset):
         attacker = population_attacker(dataset, beta=1)
         with pytest.raises(ConfigError, match="empty user population"):
