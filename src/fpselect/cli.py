@@ -39,6 +39,7 @@ from .selection import (
 from .sensitivity import (
     AttackerInstance,
     attacker_from_file,
+    non_monotone_reason,
     population_attacker,
     uniform_attacker,
 )
@@ -61,33 +62,41 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+KNOWLEDGE = ("population", "uniform", "file")
+# The keys a run config file may set: its paths, then the run's settings.
+PATH_KEYS = ("dataset", "catalog", "pmf_path", "out")
+RUN_CONFIG_KEYS = {*PATH_KEYS, "alpha", "beta", "k", "weights", "knowledge", "seed"}
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Effective configuration of a selection-style run."""
+    """A selection-style run's settings, each checked before any input is read."""
 
     method: str
     dataset: str
     catalog: str
-    alpha: float
+    selection: SelectionConfig
     beta: int
-    k: int
-    weights: CostWeights
     knowledge: str
     pmf_path: str | None
     seed: int
     out: str | None
 
-    def validate_paths(self) -> None:
+    def __post_init__(self) -> None:
         _require_inputs(self.dataset, self.catalog)
+        if self.knowledge not in KNOWLEDGE:
+            raise ConfigError(f"unknown attacker knowledge {self.knowledge!r}"
+                              f" (expected one of {', '.join(KNOWLEDGE)})")
         if self.knowledge == "file" and not self.pmf_path:
             raise ConfigError("knowledge 'file' requires --pmf-path")
 
     def to_report_dict(self) -> dict:
-        """Every field but the PMF and report paths, with the weights as a list."""
+        """Every field but the PMF and report paths, the selection spelled out."""
         config = {f.name: getattr(self, f.name) for f in fields(self)
-                  if f.name not in ("pmf_path", "out")}
-        config["weights"] = list(self.weights.as_tuple())
-        return config
+                  if f.name not in ("selection", "pmf_path", "out")}
+        selection = self.selection
+        return {**config, "alpha": selection.alpha, "k": selection.k,
+                "weights": list(selection.weights.as_tuple())}
 
 
 def _require_inputs(dataset: str, catalog: str) -> None:
@@ -111,16 +120,20 @@ def _check_path(option: str, path: str | None) -> None:
 
 
 def _load_file_config(path: str | None) -> dict:
+    """The run config's keys that ``_build_run_config`` picks; any other key
+    is named on stderr and not read."""
     if not path:
         return {}
     raw = read_json(path)
     if not isinstance(raw, dict):
         raise SchemaError(f"{path}: run config must be a JSON object")
-    for key in ("dataset", "catalog", "pmf_path", "out"):
+    if unread := sorted(raw.keys() - RUN_CONFIG_KEYS):
+        _progress(f"warning: {path}: keys not read: {', '.join(map(repr, unread))}")
+    for key in PATH_KEYS:
         if raw.get(key) is not None and not isinstance(raw[key], str):
             raise ConfigError(f"{key} must be a path string, got {raw[key]!r}")
         _check_path(f"{path}: {key}", raw.get(key))
-    return raw
+    return {key: raw[key] for key in RUN_CONFIG_KEYS & raw.keys()}
 
 
 def _pick(flag, file_config: dict, key: str, default, env: str | None = None,
@@ -159,10 +172,12 @@ def _build_run_config(args: argparse.Namespace, method: str) -> RunConfig:
         method=method,
         dataset=_pick(args.dataset, file_config, "dataset", "", ENV_DATASET),
         catalog=_pick(args.catalog, file_config, "catalog", "", ENV_CATALOG),
-        alpha=_pick(args.alpha, file_config, "alpha", None, convert=as_float),
+        selection=SelectionConfig(
+            alpha=_pick(args.alpha, file_config, "alpha", None, convert=as_float),
+            k=_pick(getattr(args, "k", None), file_config, "k", 1, convert=as_int),
+            weights=weights,
+        ),
         beta=_pick(args.beta, file_config, "beta", 1, convert=as_int),
-        k=_pick(getattr(args, "k", None), file_config, "k", 1, convert=as_int),
-        weights=weights,
         knowledge=str(_pick(args.knowledge, file_config, "knowledge", "population")),
         pmf_path=_pick(args.pmf_path, file_config, "pmf_path", None),
         seed=_pick(args.seed, file_config, "seed", 0, convert=as_int),
@@ -171,20 +186,14 @@ def _build_run_config(args: argparse.Namespace, method: str) -> RunConfig:
 
 
 def _load_inputs(config: RunConfig) -> tuple[Dataset, AttackerInstance]:
-    config.validate_paths()
     catalog = load_catalog(config.catalog)
     dataset = load_observations(config.dataset, catalog)
     if config.knowledge == "population":
         attacker = population_attacker(dataset, config.beta)
     elif config.knowledge == "uniform":
         attacker = uniform_attacker(dataset, config.beta)
-    elif config.knowledge == "file":
-        attacker = attacker_from_file(config.pmf_path, catalog, config.beta)
     else:
-        raise ConfigError(
-            f"unknown attacker knowledge {config.knowledge!r}"
-            " (expected population, uniform, or file)"
-        )
+        attacker = attacker_from_file(config.pmf_path, catalog, config.beta)
     return dataset, attacker
 
 
@@ -242,24 +251,20 @@ def _cmd_search(args: argparse.Namespace) -> int:
     if greedy and args.threads is not None and args.threads < 1:
         raise ConfigError("--threads must be >= 1")
     dataset, attacker = _load_inputs(config)
-    tolerant = [s.name for s in dataset.catalog.attributes if not s.matches_exactly]
-    if greedy and tolerant:
-        _progress(
-            f"warning: {', '.join(tolerant)} match tolerantly, so sensitivity may"
-            " not be monotone and greedy pruning can miss cheaper sets"
-        )
-    selection = SelectionConfig(alpha=config.alpha, k=config.k if greedy else 1,
-                                weights=config.weights)
+    if reason := non_monotone_reason(attacker, dataset):
+        _progress(f"warning: {reason}, so sensitivity may not be monotone and " + (
+            "the oracle measures every subset" if args.method == "oracle"
+            else f"{args.method} can miss sets that meet alpha"))
     if greedy:
-        result = select_greedy(dataset, attacker, selection,
+        result = select_greedy(dataset, attacker, config.selection,
                                max_workers=args.threads)
     elif args.method == "oracle":
-        result = select_exhaustive(dataset, attacker, selection,
+        result = select_exhaustive(dataset, attacker, config.selection,
                                    max_attributes=args.max_n)
     elif args.method == "entropy":
-        result = select_entropy_baseline(dataset, attacker, selection)
+        result = select_entropy_baseline(dataset, attacker, config.selection)
     else:
-        result = select_cond_entropy_baseline(dataset, attacker, selection)
+        result = select_cond_entropy_baseline(dataset, attacker, config.selection)
 
     report = _selection_report(result, config)
     _write_report(report, config.out)
@@ -282,12 +287,11 @@ def _cmd_search(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     config = _build_run_config(args, "evaluate")
     dataset, attacker = _load_inputs(config)
-    SelectionConfig(config.alpha)  # refuses the alpha the searches refuse
     try:
         attrs = dataset.catalog.canonical(a for a in args.attrs.split(",") if a)
     except SchemaError as exc:  # the flag is at fault, not a file
         raise ConfigError(f"--attrs: {exc}") from None
-    evaluation = evaluate(attrs, dataset, attacker, config.weights)
+    evaluation = evaluate(attrs, dataset, attacker, config.selection.weights)
     report = {
         "method": "evaluate",
         "config": config.to_report_dict(),
@@ -297,7 +301,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         "impersonated_users": sorted(evaluation.impersonated),
     }
     if args.stats_out or args.stats_csv:
-        stats = attribute_cost_stats(dataset, config.weights)
+        stats = attribute_cost_stats(dataset, config.selection.weights)
         stats_json = dump_json(stats.to_json())  # raises before any file is written
     _write_report(report, config.out)
     if args.stats_out:
@@ -362,7 +366,7 @@ def _add_common_selection_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--beta", type=int, help="attacker submission budget")
     parser.add_argument("--weights", help="memory,time,instability points"
                         " (default 1,10,10000)")
-    parser.add_argument("--knowledge", choices=["population", "uniform", "file"],
+    parser.add_argument("--knowledge", choices=KNOWLEDGE,
                         help="attacker knowledge model (default population)")
     parser.add_argument("--pmf-path", dest="pmf_path",
                         help="attacker PMF file for --knowledge file")

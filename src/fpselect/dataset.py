@@ -207,12 +207,6 @@ class Dataset:
         """Stored fingerprint per user: the browser's first observation."""
         return dict(zip(self.browser_ids, self.stored_codes.decode()))
 
-    def iter_consecutive_observations(
-        self,
-    ) -> Iterator[tuple[Observation, Observation]]:
-        for a, b in self._pairs.T.tolist():
-            yield self.observations[a], self.observations[b]
-
     # -- structure ---------------------------------------------------------
 
     @cached_property

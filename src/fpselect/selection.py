@@ -25,7 +25,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .cost import CostBreakdown, CostWeights, total_cost
 from .dataset import Dataset, joint_entropy_bits
 from .errors import ConfigError
-from .sensitivity import AttackerInstance, impersonated_mask, impersonated_share
+from .sensitivity import (AttackerInstance, impersonated_mask, impersonated_share,
+                          non_monotone_reason)
 from .sensitivity import sensitivity  # noqa: F401  (bench/tracer.py wraps it here)
 
 AttrSet = tuple[str, ...]
@@ -254,12 +255,14 @@ def _select(
     attacker: AttackerInstance,
     config: SelectionConfig,
     search: Callable[[Evaluator], Found],
+    gate: bool = True,
 ) -> SelectionResult:
-    """Measure the full set, run ``search`` only if it meets alpha, and report."""
+    """Measure the full set, run ``search`` if it meets alpha or ``gate`` is
+    off, and report."""
     evaluator = Evaluator(dataset, attacker, config.weights)
     _, candidate_sensitivity = evaluator.evaluate(dataset.catalog.names)
     chosen, trace = None, ()
-    if candidate_sensitivity <= config.alpha:
+    if candidate_sensitivity <= config.alpha or not gate:
         chosen, trace = search(evaluator)
     breakdown, sens = (None, None) if chosen is None else evaluator.evaluate(chosen)
     return SelectionResult(
@@ -370,7 +373,8 @@ def select_exhaustive(
     config: SelectionConfig,
     max_attributes: int = 15,
 ) -> SelectionResult:
-    """True optimum by enumerating every subset. Exponential; keep n small."""
+    """True optimum by enumerating every subset. Exponential; keep n small.
+    Unless sensitivity is monotone, a full set above alpha proves nothing."""
     names = dataset.catalog.names
     if len(names) > max_attributes:
         raise ConfigError(
@@ -385,10 +389,10 @@ def select_exhaustive(
                 key = (breakdown.total_points, combo)
                 if sens <= config.alpha and (best is None or key < best):
                     best = key
-        # The full set meets alpha, so some subset does.
-        return best[1], ()
+        return (None if best is None else best[1]), ()
 
-    return _select("oracle", dataset, attacker, config, search)
+    monotone = non_monotone_reason(attacker, dataset) is None
+    return _select("oracle", dataset, attacker, config, search, gate=monotone)
 
 
 @dataclass(frozen=True)

@@ -250,14 +250,35 @@ def impersonated_mask(
     return _reached(catalog.canonical(attrs), attacker, catalog, dataset.stored_codes)
 
 
+def _knows_population(attacker: AttackerInstance, dataset: Dataset) -> bool:
+    """Whether ``attacker`` is the dataset's own population attacker."""
+    # Knowledge first, so no other attacker builds the population PMF; `is`,
+    # since population_attacker hands out that very cached object.
+    return attacker.knowledge == "population" and attacker.pmf is dataset.population_pmf
+
+
+def non_monotone_reason(attacker: AttackerInstance, dataset: Dataset) -> str | None:
+    """Why a larger set may measure a higher sensitivity, or None when it cannot.
+
+    Under exact matching, reach cannot rise against the population attacker
+    (the beta largest group counts) or a PMF uniform over a full product
+    (dropping a column never raises a tuple's rank in the product).
+    """
+    tolerant = [s.name for s in dataset.catalog.attributes if not s.matches_exactly]
+    if tolerant:
+        return f"{', '.join(tolerant)} match tolerantly"
+    if _knows_population(attacker, dataset) or attacker.product_domains is not None:
+        return None
+    return (f"the {attacker.knowledge} attacker is neither the dataset's population"
+            " nor uniform over a full product")
+
+
 def impersonated_share(
     canon: tuple[str, ...], attacker: AttackerInstance, dataset: Dataset
 ) -> float:
     """The share of users ``attacker`` impersonates on the canonical set ``canon``."""
     catalog = dataset.catalog
-    # Knowledge first, so no other attacker builds the population PMF; `is`,
-    # since population_attacker hands out that very cached object.
-    if (attacker.knowledge == "population" and attacker.pmf is dataset.population_pmf
+    if (_knows_population(attacker, dataset)
             and all(catalog.spec(a).matches_exactly for a in canon)):
         # Each submission is one stored group's projection and reaches that
         # group alone, so the reach is the sum of the beta largest group

@@ -884,6 +884,65 @@ def test_every_command_refuses_an_alpha_outside_0_1(tmp_path, capsys, command, a
                                        " threshold alpha must be in (0, 1]\n")
 
 
+@pytest.mark.parametrize("fault, message", [
+    (["--alpha", "7"], "sensitivity threshold alpha must be in (0, 1]"),
+    (["--alpha", "0"], "sensitivity threshold alpha must be in (0, 1]"),
+    (["--k", "0"], "explored path count k must be >= 1"),
+    ({"knowledge": "bogus"}, "unknown attacker knowledge 'bogus' (expected one of"
+                             " population, uniform, file)"),
+    (["--knowledge", "file"], "knowledge 'file' requires --pmf-path"),
+    (["--catalog", ""], "missing catalog path"),
+    (["--threads", "0"], "--threads must be >= 1"),
+    (["--weights", "1,2"], "weights must be three comma-separated numbers"),
+], ids=["alpha-7", "alpha-0", "k-0", "config-knowledge", "file-without-pmf",
+        "empty-catalog", "threads-0", "weights-two"])
+def test_a_config_fault_is_refused_before_any_input_is_read(
+    tmp_path, capsys, fault, message
+):
+    """Each fault, with a --dataset that names no file, exits 4 with its own
+    message: the run's settings are checked before the dataset is opened."""
+    missing = str(tmp_path / "missing.jsonl")
+    _, catalog = write_table1_files(tmp_path, repeats=2)
+    if isinstance(fault, dict):
+        argv = _run_config(tmp_path, missing, catalog, **fault)
+    else:
+        argv = ["select", "--dataset", missing, "--catalog", str(catalog),
+                "--alpha", "0.2", *fault]
+    capsys.readouterr()
+    assert main(argv) == EXIT_BAD_CONFIG
+    assert capsys.readouterr().err == f"fpselect: invalid configuration: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["baseline --method entropy",
+                                     "evaluate --attrs Screen"])
+def test_a_config_file_k_below_1_is_refused_by_every_command(
+    tmp_path, capsys, command
+):
+    dataset, catalog = write_table1_files(tmp_path, repeats=2)
+    argv = _run_config(tmp_path, dataset, catalog, k=0)[1:]
+    capsys.readouterr()
+    assert main([*command.split(), *argv]) == EXIT_BAD_CONFIG
+    assert capsys.readouterr().err == (
+        "fpselect: invalid configuration: explored path count k must be >= 1\n")
+
+
+def test_unread_run_config_keys_are_named_on_stderr(tmp_path, capsys):
+    """A misspelt key is not read, so beta stays 1, and stderr names it."""
+    dataset, catalog = write_table1_files(tmp_path, repeats=2)
+    out = tmp_path / "out.json"
+    reports = []
+    for extra in ({}, {"betta": 8, "\ud800": 1}):
+        argv = _run_config(tmp_path, dataset, catalog, **extra)
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        reports.append(out.read_bytes())
+        err = capsys.readouterr().err.splitlines()
+        notes = [line for line in err if "not read" in line]
+        assert notes == ([f"warning: {tmp_path / 'run.json'}: keys not read:"
+                          " 'betta', '\\ud800'"] if extra else [])
+    assert reports[0] == reports[1]
+    assert json.loads(reports[1])["config"]["beta"] == 1
+
+
 @pytest.mark.parametrize("cap", ["0", "-3"])
 def test_calibrate_refuses_a_negative_cap_below_1(tmp_path, capsys, cap):
     dataset, catalog = write_table1_files(tmp_path, repeats=2)
@@ -1092,6 +1151,46 @@ def test_select_warns_when_sensitivity_may_not_be_monotone(
     assert main([*argv, "--out", str(tmp_path / "out.json")]) == EXIT_OK
     err = capsys.readouterr().err
     assert ("warning: CookieEnabled match tolerantly" in err) is warned
+
+
+def _file_attacker_example(tmp_path):
+    """Two exact attributes, ten users and a file attacker under which {a}
+    measures 0.3, {b} 0.8 and {a, b} 0.7 at beta 1: the inputs of a search
+    with alpha 0.5 and that attacker."""
+    catalog = tmp_path / "ab-catalog.json"
+    catalog.write_text(json.dumps([{"name": "a", "kind": "category"},
+                                   {"name": "b", "kind": "category"}]))
+    dataset = tmp_path / "ab.jsonl"
+    rows = [("0", "0"), ("0", "1"), ("0", "2")] + [("1", "0")] * 7
+    dataset.write_text("".join(
+        json.dumps({"browser_id": f"u{i}", "seq": seq, "values": {"a": a, "b": b}})
+        + "\n" for i, (a, b) in enumerate(rows) for seq in (0, 1)))
+    pmf = tmp_path / "ab-pmf.json"
+    pmf.write_text(json.dumps({"attributes": ["a", "b"], "entries": [
+        {"values": ["0", "0"], "p": 0.2}, {"values": ["0", "1"], "p": 0.2},
+        {"values": ["0", "2"], "p": 0.2}, {"values": ["1", "0"], "p": 0.4}]}))
+    return ["--dataset", str(dataset), "--catalog", str(catalog), "--alpha", "0.5",
+            "--beta", "1", "--knowledge", "file", "--pmf-path", str(pmf),
+            "--out", str(tmp_path / "out.json")]
+
+
+@pytest.mark.parametrize("command, status, chosen", [
+    ("oracle", EXIT_OK, ["a"]),
+    ("select", EXIT_NO_SOLUTION, None),
+    ("baseline --method entropy", EXIT_NO_SOLUTION, None),
+    ("baseline --method cond-entropy", EXIT_NO_SOLUTION, None),
+])
+def test_every_search_warns_when_the_attacker_may_break_monotonicity(
+    tmp_path, capsys, command, status, chosen
+):
+    """The full set measures 0.7, above alpha, yet {a} meets it: the oracle
+    measures every subset and finds it; the other searches trust the full
+    set, and each says why that may be wrong."""
+    assert main([*command.split(), *_file_attacker_example(tmp_path)]) == status
+    assert json.loads((tmp_path / "out.json").read_text())["chosen"] == chosen
+    assert capsys.readouterr().err.startswith(
+        "warning: the file attacker is neither the dataset's population nor"
+        " uniform over a full product, so sensitivity may not be monotone")
 
 
 def _paths(doc, prefix=()):

@@ -323,10 +323,9 @@ class TestSynthesize:
 
     def test_copy_tracks_source_between_observations(self):
         ds = synthesize(self.base_config(browsers=20), seed=5)
-        for earlier, later in ds.iter_consecutive_observations():
-            src_changed = earlier.values["src"] != later.values["src"]
-            cpy_changed = earlier.values["cpy"] != later.values["cpy"]
-            assert src_changed == cpy_changed
+        src, cpy = (ds.catalog.names.index(a) for a in ("src", "cpy"))
+        for earlier, later in consecutive_pairs(ds):
+            assert (earlier[src] != later[src]) == (earlier[cpy] != later[cpy])
 
     def test_invalid_cardinality_rejected(self):
         with pytest.raises(ConfigError, match="cardinality"):

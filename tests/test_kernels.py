@@ -38,6 +38,7 @@ from fpselect import (
     SchemaError,
     build_dictionary,
     calibrate_thresholds,
+    consecutive_pairs,
     impersonated_users,
     joint_entropy_bits,
     pmf,
@@ -330,6 +331,53 @@ def test_a_foreign_population_attacker_is_not_counted():
 
 
 @SETTINGS
+@given(instances())
+def test_sensitivity_never_rises_where_no_reason_says_it_may(instance):
+    """Where ``non_monotone_reason`` finds none, which every all-exact catalog
+    against the population or the uniform attacker is, no set measures a
+    higher sensitivity than any of its one-smaller subsets."""
+    dataset, attacker = instance
+    names = dataset.catalog.names
+    reason = SENSITIVITY.non_monotone_reason(attacker, dataset)
+    if (all(spec.matches_exactly for spec in dataset.catalog.attributes)
+            and attacker.knowledge in ("population", "uniform")):
+        assert reason is None
+    if reason is not None:
+        return
+    share = {
+        subset: SENSITIVITY.impersonated_share(subset, attacker, dataset)
+        for size in range(len(names) + 1)
+        for subset in itertools.combinations(names, size)
+    }
+    for grown, value in share.items():
+        for dropped in range(len(grown)):
+            assert value <= share[grown[:dropped] + grown[dropped + 1:]]
+
+
+def test_a_file_attacker_that_raises_sensitivity_gets_a_reason():
+    # Three users hold a = 0 and seven a = 1, b = 0. The one guess on {a} is
+    # a = 0 (mass 0.6), which reaches 3 users; on {a, b} it is (1, 0) (mass
+    # 0.4), which reaches 7.
+    catalog = AttributeCatalog((AttributeSpec("a", "category"),
+                                AttributeSpec("b", "category")))
+    rows = [("0", "0"), ("0", "1"), ("0", "2")] + [("1", "0")] * 7
+    dataset = Dataset(catalog, tuple(
+        Observation(f"u{i}", 0, dict(zip(catalog.names, values)), {})
+        for i, values in enumerate(rows)))
+    entries = ((("0", "0"), 0.2), (("0", "1"), 0.2), (("0", "2"), 0.2),
+               (("1", "0"), 0.4))
+    attacker = AttackerInstance(Pmf(catalog.names, entries), 1, "file")
+    assert [SENSITIVITY.impersonated_share(s, attacker, dataset)
+            for s in (("a",), ("a", "b"))] == [0.3, 0.7]
+    assert SENSITIVITY.non_monotone_reason(attacker, dataset) == (
+        "the file attacker is neither the dataset's population nor uniform over a"
+        " full product")
+    # The population attacker of the same users is monotone.
+    assert SENSITIVITY.non_monotone_reason(
+        population_attacker(dataset, 1), dataset) is None
+
+
+@SETTINGS
 @given(instances(), st.data())
 def test_joint_entropy_matches_reference(instance, data):
     dataset, _ = instance
@@ -343,8 +391,10 @@ def test_joint_entropy_matches_reference(instance, data):
 @given(instances())
 def test_cost_columns_match_row_walks(instance):
     dataset, _ = instance
+    names = dataset.catalog.names
     pairs = reference.consecutive_observations(dataset)
-    assert list(dataset.iter_consecutive_observations()) == pairs
+    assert consecutive_pairs(dataset) == [
+        tuple(tuple(obs.values[a] for a in names) for obs in pair) for pair in pairs]
     assert dataset.consecutive_pair_count == len(pairs)
     for got, expected in (
         (dataset.attribute_byte_totals, reference.attribute_byte_totals(dataset)),

@@ -33,6 +33,7 @@ from fpselect.sensitivity import (
     AttackerInstance,
     impersonated_mask,
     impersonated_share,
+    non_monotone_reason,
 )
 from fpselect.synth import SynthAttribute, SynthConfig, synthesize
 
@@ -334,6 +335,7 @@ class TestMonotonicity:
         s_pair = sensitivity(("b", "n"), attacker, ds.user_mapping, ds.catalog)
         assert s_single == pytest.approx(0.4)  # guesses "0", reaches 4 of 10
         assert s_pair == pytest.approx(0.6)  # guesses ("k","1000"), reaches 6
+        assert non_monotone_reason(attacker, ds) == "n match tolerantly"
 
 
 class TestUniformAttacker:
