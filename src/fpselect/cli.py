@@ -26,7 +26,7 @@ from .catalog import as_float, as_int, dump_json, load_catalog, read_json, save_
 from .cost import CostWeights, attribute_cost_stats
 from .dataset import Dataset, load_observations, save_dataset
 from .errors import ConfigError, SchemaError
-from .matching import calibrate_thresholds
+from .matching import calibrate_thresholds, check_calibration_counts
 from .selection import (
     SelectionConfig,
     SelectionResult,
@@ -66,6 +66,9 @@ KNOWLEDGE = ("population", "uniform", "file")
 # The keys a run config file may set: its paths, then the run's settings.
 PATH_KEYS = ("dataset", "catalog", "pmf_path", "out")
 RUN_CONFIG_KEYS = {*PATH_KEYS, "alpha", "beta", "k", "weights", "knowledge", "seed"}
+# Every flag that names a file the command writes.
+OUTPUT_FLAGS = ("out", "trace_csv", "stats_out", "stats_csv", "write_catalog",
+                "catalog_out")
 
 
 @dataclass(frozen=True)
@@ -109,14 +112,21 @@ def _progress(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _check_path(option: str, path: str | None) -> None:
-    """Refuse a path holding a NUL or a lone surrogate, which no file can have."""
+def _check_path(option: str, path: str | None, output: bool = False) -> None:
+    """Refuse a path holding a NUL or a lone surrogate, which no file can have,
+    and an ``output`` path that names a directory or whose directory is missing."""
+    if not path:
+        return
     try:
-        if not path or b"\0" not in os.fsencode(path):
-            return
+        usable = b"\0" not in os.fsencode(path)
     except UnicodeEncodeError:
-        pass
-    raise ConfigError(f"{option}: {path!r} cannot name a file")
+        usable = False
+    if not usable:
+        raise ConfigError(f"{option}: {path!r} cannot name a file")
+    if output and Path(path).is_dir():
+        raise ConfigError(f"{option}: {path!r} is a directory")
+    if output and not Path(path).parent.is_dir():
+        raise ConfigError(f"{option}: {path!r} is not in an existing directory")
 
 
 def _load_file_config(path: str | None) -> dict:
@@ -132,7 +142,7 @@ def _load_file_config(path: str | None) -> dict:
     for key in PATH_KEYS:
         if raw.get(key) is not None and not isinstance(raw[key], str):
             raise ConfigError(f"{key} must be a path string, got {raw[key]!r}")
-        _check_path(f"{path}: {key}", raw.get(key))
+        _check_path(f"{path}: {key}", raw.get(key), output=key == "out")
     return {key: raw[key] for key in RUN_CONFIG_KEYS & raw.keys()}
 
 
@@ -317,6 +327,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     dataset_path = _pick(args.dataset, {}, "dataset", "", ENV_DATASET)
     catalog_path = _pick(args.catalog, {}, "catalog", "", ENV_CATALOG)
     _require_inputs(dataset_path, catalog_path)
+    check_calibration_counts(args.windows, args.negative_cap)
     catalog = load_catalog(catalog_path)
     dataset = load_observations(dataset_path, catalog)
     report = calibrate_thresholds(
@@ -441,9 +452,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         args = build_parser().parse_args(argv)
-        for dest in ("config", "dataset", "catalog", "pmf_path", "out", "trace_csv",
-                     "stats_out", "stats_csv", "write_catalog", "catalog_out"):
-            _check_path("--" + dest.replace("_", "-"), getattr(args, dest, None))
+        for dest in ("config", "dataset", "catalog", "pmf_path", *OUTPUT_FLAGS):
+            _check_path("--" + dest.replace("_", "-"), getattr(args, dest, None),
+                        output=dest in OUTPUT_FLAGS)
         status = args.handler(args)
     except SchemaError as exc:
         print(f"fpselect: schema error: {exc}", file=sys.stderr)

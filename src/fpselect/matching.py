@@ -17,7 +17,7 @@ import statistics
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import pairwise
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .catalog import AttributeCatalog, AttributeSpec
 from .dataset import Dataset
@@ -220,6 +220,15 @@ def max_margin_threshold(
     return min(keys)[2]
 
 
+def check_calibration_counts(windows: int, negative_cap: int) -> None:
+    """Refuse a window count or a negative cap below 1, as ``calibrate`` does
+    before it reads any input."""
+    if windows < 1:
+        raise ConfigError("windows must be >= 1")
+    if negative_cap < 1:
+        raise ConfigError("negative_cap must be >= 1")
+
+
 def _derived_rng(seed: int, window: int, attribute: str) -> random.Random:
     digest = hashlib.sha256(f"{seed}:{window}:{attribute}".encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
@@ -245,10 +254,7 @@ def calibrate_thresholds(
     calls. Per-window thresholds are max-margin separators; the final
     threshold is their mean.
     """
-    if windows < 1:
-        raise ConfigError("windows must be >= 1")
-    if negative_cap < 1:
-        raise ConfigError("negative_cap must be >= 1")
+    check_calibration_counts(windows, negative_cap)
     catalog, coded = dataset.catalog, dataset.codes
     members = dataset.browser_rows
     measures = [_pair_distances(attr, list(lookup))
@@ -264,14 +270,14 @@ def calibrate_thresholds(
             )
         if len(browsers) < 2:
             raise ConfigError(f"window {w}: needs at least two browsers")
+        table = _draw_table(members[b] for b in browsers)
+        count = min(len(pairs), negative_cap)
         earlier, later = coded.matrix[list(zip(*pairs))]
         for j, (attr, measure) in enumerate(zip(catalog.attributes, measures)):
             column = coded.matrix[:, j]
             positives = measure(earlier[:, j], later[:, j])
             firsts, seconds = _negative_rows(
-                _derived_rng(seed, w, attr.name), browsers, members,
-                min(len(positives), negative_cap),
-            )
+                _derived_rng(seed, w, attr.name), table, count)
             negatives = measure(column[firsts], column[seconds])
             window_thresholds[attr.name].append(
                 max_margin_threshold(positives, negatives)
@@ -290,15 +296,23 @@ def calibrate_thresholds(
     )
 
 
+def _draw_table(
+    rows_of: Iterable[Sequence[int]],
+) -> list[tuple[Sequence[int], int, int]]:
+    """Each browser's rows, their count and that count's bit length: what
+    ``_negative_rows`` reads for every pick of the browser."""
+    return [(rows, len(rows), len(rows).bit_length()) for rows in rows_of]
+
+
 def _negative_rows(
     rng: random.Random,
-    browsers: Sequence[int],
-    members: Sequence[Sequence[int]],
+    table: Sequence[tuple[Sequence[int], int, int]],
     count: int,
 ) -> tuple[list[int], list[int]]:
     """Rows of ``count`` cross-browser pairs, the draws of
     ``rng.sample(browsers, 2)`` and one ``rng.choice`` from each browser's
-    rows, made straight from ``rng.getrandbits``.
+    rows, made straight from ``rng.getrandbits``; ``table`` is
+    ``_draw_table`` of the browsers' rows.
 
     CPython's ``random`` draws an index below ``n`` as ``getrandbits`` of
     ``n.bit_length()`` bits, redrawn until below ``n``. For two picks,
@@ -307,7 +321,7 @@ def _negative_rows(
     redraws the second until it differs from the first.
     """
     getrandbits = rng.getrandbits
-    n = len(browsers)
+    n = len(table)
     bits, pool_bits = n.bit_length(), (n - 1).bit_length()
     firsts, seconds = [], []
     for _ in range(count):
@@ -324,13 +338,16 @@ def _negative_rows(
             b = getrandbits(bits)
             while b >= n or b == a:
                 b = getrandbits(bits)
-        for picked, out in ((a, firsts), (b, seconds)):
-            rows = members[browsers[picked]]
-            m = len(rows)
-            r = getrandbits(m.bit_length())
-            while r >= m:
-                r = getrandbits(m.bit_length())
-            out.append(rows[r])
+        rows, m, k = table[a]
+        r = getrandbits(k)
+        while r >= m:
+            r = getrandbits(k)
+        firsts.append(rows[r])
+        rows, m, k = table[b]
+        r = getrandbits(k)
+        while r >= m:
+            r = getrandbits(k)
+        seconds.append(rows[r])
     return firsts, seconds
 
 

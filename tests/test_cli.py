@@ -913,6 +913,22 @@ def test_a_config_fault_is_refused_before_any_input_is_read(
     assert capsys.readouterr().err == f"fpselect: invalid configuration: {message}\n"
 
 
+@pytest.mark.parametrize("fault, message", [
+    (["--windows", "0"], "windows must be >= 1"),
+    (["--negative-cap", "0"], "negative_cap must be >= 1"),
+], ids=["windows-0", "negative-cap-0"])
+def test_a_calibrate_fault_is_refused_before_any_input_is_read(
+    tmp_path, capsys, fault, message
+):
+    """As for the searches: with a --dataset and a --catalog that name no
+    file, each fault exits 4 with its own message."""
+    missing = str(tmp_path / "missing")
+    argv = ["calibrate", "--dataset", missing, "--catalog", missing, *fault]
+    capsys.readouterr()
+    assert main(argv) == EXIT_BAD_CONFIG
+    assert capsys.readouterr().err == f"fpselect: invalid configuration: {message}\n"
+
+
 @pytest.mark.parametrize("command", ["baseline --method entropy",
                                      "evaluate --attrs Screen"])
 def test_a_config_file_k_below_1_is_refused_by_every_command(
@@ -993,6 +1009,7 @@ def test_output_in_a_missing_directory_is_a_config_error(
                           "--out", str(tmp_path / "again.jsonl")],
     }[flag]
     missing = tmp_path / "no" / "such" / "directory" / "file"
+    files = sorted(tmp_path.rglob("*"))
     capsys.readouterr()
     status = main([*argv, flag.split()[-1], str(missing)])
     err = capsys.readouterr().err
@@ -1000,6 +1017,8 @@ def test_output_in_a_missing_directory_is_a_config_error(
     assert "Traceback" not in err
     assert err.splitlines()[-1].startswith("fpselect: invalid configuration: ")
     assert str(missing) in err.splitlines()[-1]
+    # Refused before the command wrote any of its other outputs.
+    assert sorted(tmp_path.rglob("*")) == files
 
 
 @pytest.mark.parametrize("bad", [SURROGATE_PATH, NUL_PATH], ids=["surrogate", "nul"])
@@ -1010,7 +1029,33 @@ def test_output_in_a_missing_directory_is_a_config_error(
 def test_a_path_no_file_can_have_is_refused_before_any_input_is_read(
     tmp_path, capsys, flag, bad
 ):
-    # Every input is missing, so reading any of them first fails differently.
+    argv, option = _path_fault(tmp_path, flag, bad)
+    capsys.readouterr()
+    assert main(argv) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"fpselect: invalid configuration: {option}: {bad!r} cannot name a file\n"
+
+
+@pytest.mark.parametrize("where", ["directory", "missing directory"])
+@pytest.mark.parametrize("flag", ["--out", "--trace-csv", "--stats-out", "--stats-csv",
+                                  "--write-catalog", "synth --out", "--catalog-out",
+                                  "run config out"])
+def test_an_unusable_output_path_is_refused_before_any_input_is_read(
+    tmp_path, capsys, flag, where
+):
+    bad, problem = ((str(tmp_path), "is a directory") if where == "directory" else
+                    (str(tmp_path / "no" / "file"), "is not in an existing directory"))
+    argv, option = _path_fault(tmp_path, flag, bad)
+    capsys.readouterr()
+    assert main(argv) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"fpselect: invalid configuration: {option}: {bad!r} {problem}\n"
+
+
+def _path_fault(tmp_path, flag, bad):
+    """argv that passes ``bad`` to ``flag`` (or as a run config's ``out``),
+    and the option its refusal names. Every input is missing, so reading any
+    of them first fails differently."""
     missing = str(tmp_path / "missing")
     inputs = ["--dataset", missing, "--catalog", missing]
     run = tmp_path / "run.json"
@@ -1023,13 +1068,9 @@ def test_a_path_no_file_can_have_is_refused_before_any_input_is_read(
         "--catalog-out": ["synth", "--config", missing, "--out", missing],
         "run config out": ["select", "--alpha", "0.5", "--config", str(run)],
     }.get(flag, ["evaluate", "--attrs", "a", *inputs, "--alpha", "0.5"])
-    if flag != "run config out":
-        argv = [*argv, flag.split()[-1], bad]
-    option = f"{run}: out" if flag == "run config out" else flag.split()[-1]
-    capsys.readouterr()
-    assert main(argv) == EXIT_BAD_CONFIG
-    err = capsys.readouterr().err
-    assert err == f"fpselect: invalid configuration: {option}: {bad!r} cannot name a file\n"
+    if flag == "run config out":
+        return argv, f"{run}: out"
+    return [*argv, flag.split()[-1], bad], flag.split()[-1]
 
 
 @pytest.mark.parametrize("fields, message", [

@@ -49,6 +49,7 @@ from fpselect import (
 )
 from fpselect.dataset import encode_rows, load_observations
 from fpselect.matching import (
+    _draw_table,
     _negative_rows,
     _pair_distances,
     distance,
@@ -330,18 +331,23 @@ def test_a_foreign_population_attacker_is_not_counted():
     assert Evaluator(dataset, attacker, CostWeights()).evaluate(("x",))[1] == 0.0
 
 
+# File attackers twice over: an all-exact catalog against one that is not
+# uniform over a product is the case a reason must not miss.
 @SETTINGS
-@given(instances())
+@given(instances() | instances(kinds=("file",)))
 def test_sensitivity_never_rises_where_no_reason_says_it_may(instance):
-    """Where ``non_monotone_reason`` finds none, which every all-exact catalog
-    against the population or the uniform attacker is, no set measures a
-    higher sensitivity than any of its one-smaller subsets."""
+    """``non_monotone_reason`` finds none exactly where every attribute
+    matches exactly and the attacker is the population or uniform over a full
+    product, and there no set measures a higher sensitivity than any of its
+    one-smaller subsets."""
     dataset, attacker = instance
     names = dataset.catalog.names
     reason = SENSITIVITY.non_monotone_reason(attacker, dataset)
-    if (all(spec.matches_exactly for spec in dataset.catalog.attributes)
-            and attacker.knowledge in ("population", "uniform")):
-        assert reason is None
+    # ``instances()`` builds every population attacker from its own dataset.
+    assert (reason is None) == (
+        all(spec.matches_exactly for spec in dataset.catalog.attributes)
+        and (attacker.knowledge == "population"
+             or attacker.product_domains is not None))
     if reason is not None:
         return
     share = {
@@ -624,11 +630,17 @@ def test_calibration_matches_reference(instance, windows, seed, negative_cap):
     )
 
 
-@pytest.mark.parametrize("browsers", [21, 22, 67])
-def test_calibration_matches_reference_on_both_sample_paths(browsers):
+@pytest.mark.parametrize("browsers, windows", [
+    pytest.param(browsers, windows,
+                 id=f"{browsers}" if windows == 1 else f"{browsers}-{windows}-windows")
+    for windows in (1, 3) for browsers in (21, 22, 67)
+])
+def test_calibration_matches_reference_on_both_sample_paths(browsers, windows):
     """``random.sample`` picks two of at most 21 browsers from a pool and
     of more from a set; ``instances()`` rarely reaches the set path, which
-    windows of the benchmark's size take."""
+    windows of the benchmark's size take. Three windows of 67 browsers hold
+    22 or 23 each, and three of 21 or 22 hold 7 or 8, each with its own
+    draw table."""
     config = SynthConfig(browsers, 3, (
         SynthAttribute("ua", cardinality=9, change_prob=0.4, kind="text"),
         SynthAttribute("width", cardinality=6, change_prob=0.3, kind="number"),
@@ -636,8 +648,8 @@ def test_calibration_matches_reference_on_both_sample_paths(browsers):
     ))
     dataset = synthesize(config, seed=browsers)
     kwargs = {"seed": 5, "negative_cap": 50}
-    assert calibrate_thresholds(dataset, 1, **kwargs) == (
-        reference.calibrate_thresholds(dataset, 1, **kwargs))
+    assert calibrate_thresholds(dataset, windows, **kwargs) == (
+        reference.calibrate_thresholds(dataset, windows, **kwargs))
 
 
 @pytest.mark.parametrize("n", [*range(2, 71), 127, 128, 129, 1000])
@@ -656,7 +668,8 @@ def test_negative_rows_are_the_stdlib_draws(n):
             first, second = stdlib.sample(browsers, 2)
             firsts.append(stdlib.choice(members[first]))
             seconds.append(stdlib.choice(members[second]))
-        assert _negative_rows(fast, browsers, members, 200) == (firsts, seconds)
+        table = _draw_table(members[b] for b in browsers)
+        assert _negative_rows(fast, table, 200) == (firsts, seconds)
         assert fast.getstate() == stdlib.getstate()
 
 
