@@ -170,6 +170,14 @@ def _pick(flag, file_config: dict, key: str, default, env: str | None = None,
         raise ConfigError(f"{key} must be {what}, got {value!r}") from None
 
 
+def _report_path(flag: str | None, file_config: dict) -> str | None:
+    """The report path from ``_pick``. ``main`` and ``_load_file_config`` check
+    a flag's or a config's; one from the environment is checked here."""
+    if flag is None and "out" not in file_config:
+        _check_path(ENV_OUT, os.environ.get(ENV_OUT), output=True)
+    return _pick(flag, file_config, "out", None, ENV_OUT)
+
+
 def _build_run_config(args: argparse.Namespace, method: str) -> RunConfig:
     file_config = _load_file_config(getattr(args, "config", None))
     weights_text = _pick(args.weights, file_config, "weights", "1,10,10000")
@@ -191,7 +199,7 @@ def _build_run_config(args: argparse.Namespace, method: str) -> RunConfig:
         knowledge=str(_pick(args.knowledge, file_config, "knowledge", "population")),
         pmf_path=_pick(args.pmf_path, file_config, "pmf_path", None),
         seed=_pick(args.seed, file_config, "seed", 0, convert=as_int),
-        out=_pick(args.out, file_config, "out", None, ENV_OUT),
+        out=_report_path(args.out, file_config),
     )
 
 
@@ -326,6 +334,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     dataset_path = _pick(args.dataset, {}, "dataset", "", ENV_DATASET)
     catalog_path = _pick(args.catalog, {}, "catalog", "", ENV_CATALOG)
+    out = _report_path(args.out, {})
     _require_inputs(dataset_path, catalog_path)
     check_calibration_counts(args.windows, args.negative_cap)
     catalog = load_catalog(catalog_path)
@@ -336,7 +345,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     payload = {"config": {"windows": args.windows, "seed": args.seed,
                           "negative_cap": args.negative_cap},
                **report.to_json()}
-    _write_report(payload, _pick(args.out, {}, "out", None, ENV_OUT))
+    _write_report(payload, out)
     if args.write_catalog:
         save_catalog(report.apply(catalog), args.write_catalog)
         _progress(f"calibrated catalog written to {args.write_catalog}")

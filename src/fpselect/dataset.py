@@ -1,8 +1,10 @@
 """Fingerprint datasets: loading, validation, projection, coding, distributions.
 
-A dataset is held as integer code columns. A load is one lean pass, C-level
-checks per line and one check per distinct value, plus a full re-check row by
-row only of a suspect file, which then costs about twice as much to load.
+A dataset is held as integer code columns. A load is one lean pass, plus a
+full re-check row by row only of a suspect file, which then costs about twice
+as much. The lean pass decodes each line as one JSON document followed only by
+JSON whitespace, checks in C what it can and each distinct value once, and takes
+a row's values and times in one call; a row lacking a time looks up each cell.
 Each browser's first row is its stored fingerprint, which the sensitivity
 measure reads; all rows (interleaved repeats included) feed the cost
 measures. ``observations`` and ``user_mapping`` decode the columns on demand.
@@ -17,6 +19,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +28,7 @@ from .catalog import AttributeCatalog, as_int, load_catalog
 from .errors import SchemaError
 
 ValueTuple = tuple[str, ...]
+_decode = json.JSONDecoder().raw_decode  # json.loads less its whitespace checks
 
 
 def utf8_size(value: str) -> int:
@@ -275,6 +279,8 @@ def _fill(
     once, which rows of ``_checked_rows`` always pass. A seq that does not
     increase is raised after that."""
     names = catalog.names
+    # One call per row takes its cells in catalog order, a tuple at any width.
+    cells = itemgetter(*names) if len(names) > 1 else lambda row: (row[names[0]],)
     books: list[dict[str, int]] = [{} for _ in names]  # codes in first-seen order
     codes: list[int] = []
     times: list[float] = []
@@ -291,9 +297,10 @@ def _fill(
                      f" does not increase (previous {previous})")
         last_seq[browser_id] = seq
         # setdefault with the codebook's size codes a value at first sight.
-        row = map(values.__getitem__, names)
-        codes.extend(map(dict.setdefault, books, row, map(len, books)))
-        times.extend(map(collect.get, names, repeat(math.nan)))  # NaN: absent
+        codes.extend(map(dict.setdefault, books, cells(values), map(len, books)))
+        # A full collect_ms in one call, else a lookup per cell; NaN: absent.
+        times.extend(cells(collect) if len(collect) == len(names)
+                     else map(collect.get, names, repeat(math.nan)))
         stated += len(collect)
         ordinals.append(browsers.setdefault(browser_id, len(browsers)))
         seqs.append(seq)
@@ -392,15 +399,17 @@ def load_observations(path: str | Path, catalog: AttributeCatalog) -> Dataset:
 
 def _lean_rows(handle: Iterable[str], width: int) -> Iterator[tuple]:
     """Each non-blank line as a row for ``_fill``, after the checks that run in
-    C; a row that fails one raises. ``_fill`` raises ``KeyError`` for a missing
-    value, so ``width`` values leave no room for an unknown attribute."""
+    C; a row that fails one raises. So does a line that is not one document from
+    its first character then only JSON whitespace. ``_fill`` raises ``KeyError``
+    for a missing value, so ``width`` values leave no room for an unknown
+    attribute, and reads a missing time as NaN."""
     for line in handle:
         if not line.isspace():
-            row = json.loads(line)
+            row, end = _decode(line)
             browser_id, seq, values = row["browser_id"], row["seq"], row["values"]
             collect = row.get("collect_ms", {})
             if not (type(browser_id) is str and type(seq) is int and seq >= 0
-                    and len(values) == width):
+                    and len(values) == width and not line[end:].strip(" \t\n\r")):
                 raise ValueError("the row needs the checked reading")
             yield browser_id, seq, values, collect
 

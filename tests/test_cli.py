@@ -1039,12 +1039,17 @@ def test_a_path_no_file_can_have_is_refused_before_any_input_is_read(
 @pytest.mark.parametrize("where", ["directory", "missing directory"])
 @pytest.mark.parametrize("flag", ["--out", "--trace-csv", "--stats-out", "--stats-csv",
                                   "--write-catalog", "synth --out", "--catalog-out",
-                                  "run config out"])
+                                  "run config out",
+                                  *(f"{command} FPSELECT_OUT" for command in (
+                                      "select", "baseline", "oracle", "evaluate",
+                                      "calibrate"))])
 def test_an_unusable_output_path_is_refused_before_any_input_is_read(
-    tmp_path, capsys, flag, where
+    tmp_path, capsys, monkeypatch, flag, where
 ):
     bad, problem = ((str(tmp_path), "is a directory") if where == "directory" else
                     (str(tmp_path / "no" / "file"), "is not in an existing directory"))
+    if flag.endswith("FPSELECT_OUT"):
+        monkeypatch.setenv("FPSELECT_OUT", bad)
     argv, option = _path_fault(tmp_path, flag, bad)
     capsys.readouterr()
     assert main(argv) == EXIT_BAD_CONFIG
@@ -1055,22 +1060,50 @@ def test_an_unusable_output_path_is_refused_before_any_input_is_read(
 def _path_fault(tmp_path, flag, bad):
     """argv that passes ``bad`` to ``flag`` (or as a run config's ``out``),
     and the option its refusal names. Every input is missing, so reading any
-    of them first fails differently."""
+    of them first fails differently. For ``<command> FPSELECT_OUT`` the
+    caller sets the variable to ``bad``, and argv names no report path."""
     missing = str(tmp_path / "missing")
     inputs = ["--dataset", missing, "--catalog", missing]
     run = tmp_path / "run.json"
     run.write_text(json.dumps({"dataset": missing, "catalog": missing, "out": bad}))
+    search = [*inputs, "--alpha", "0.5"]
     argv = {
-        "--trace-csv": ["select", *inputs, "--alpha", "0.5"],
+        "--trace-csv": ["select", *search],
         "--write-catalog": ["calibrate", *inputs],
         "synth --config": ["synth", "--out", missing],
         "synth --out": ["synth", "--config", missing],
         "--catalog-out": ["synth", "--config", missing, "--out", missing],
         "run config out": ["select", "--alpha", "0.5", "--config", str(run)],
-    }.get(flag, ["evaluate", "--attrs", "a", *inputs, "--alpha", "0.5"])
+        "select FPSELECT_OUT": ["select", *search],
+        "baseline FPSELECT_OUT": ["baseline", "--method", "entropy", *search],
+        "oracle FPSELECT_OUT": ["oracle", *search],
+        "calibrate FPSELECT_OUT": ["calibrate", *inputs],
+    }.get(flag, ["evaluate", "--attrs", "a", *search])
     if flag == "run config out":
         return argv, f"{run}: out"
+    if flag.endswith("FPSELECT_OUT"):
+        return argv, "FPSELECT_OUT"
     return [*argv, flag.split()[-1], bad], flag.split()[-1]
+
+
+@pytest.mark.parametrize("command, source", [
+    ("select", "--out"), ("select", "run config out"), ("calibrate", "--out")])
+def test_an_unusable_environment_output_that_is_overridden_is_not_checked(
+    tmp_path, table1_paths, monkeypatch, command, source
+):
+    dataset, catalog = table1_paths
+    out = tmp_path / "report.json"
+    monkeypatch.setenv("FPSELECT_OUT", str(tmp_path))  # a directory
+    argv = [command, "--dataset", str(dataset), "--catalog", str(catalog)]
+    argv += ["--alpha", "0.2"] if command == "select" else ["--windows", "2"]
+    if source == "--out":
+        argv += ["--out", str(out)]
+    else:
+        run = tmp_path / "run.json"
+        run.write_text(json.dumps({"out": str(out)}))
+        argv += ["--config", str(run)]
+    assert main(argv) == EXIT_OK
+    assert json.loads(out.read_text())
 
 
 @pytest.mark.parametrize("fields, message", [

@@ -443,21 +443,22 @@ def test_time_cost_is_the_mean_bit_for_bit(instance, data):
 
 @st.composite
 def dataset_lines(draw, dataset):
-    """JSON lines of ``dataset`` with blank lines, times for some attributes,
-    seqs past 2**63 or not, and up to two lines mutated, one field each: set
-    to a fuzz value or a lone surrogate, deleted, a value renamed to another
-    attribute, a value or time added for an unknown one, the seq redrawn, or
-    the line cut short."""
+    """JSON lines of ``dataset`` with blank lines, ``\\n`` or ``\\r\\n`` line
+    ends, leading or trailing JSON whitespace, values and times keyed in any
+    order, times for some attributes, seqs past 2**63 or not, and up to two
+    lines mutated, one field each: set to a fuzz value or a lone surrogate,
+    deleted, a value renamed to another attribute, a value or time added for an
+    unknown one, the seq redrawn, or the line cut short."""
     names = dataset.catalog.names
     offset = draw(st.sampled_from([0, 2**63 + 1]))
     rows = []
     for obs in dataset.observations:
         row = {"browser_id": obs.browser_id, "seq": obs.seq + offset,
-               "values": dict(obs.values)}
+               "values": dict(draw(st.permutations(list(obs.values.items()))))}
         times = draw(st.dictionaries(st.sampled_from(names),
                                      st.sampled_from([0, 0.0, 2, 2.5, 1e-9])))
         if times or draw(st.booleans()):
-            row["collect_ms"] = times
+            row["collect_ms"] = dict(draw(st.permutations(list(times.items()))))
         rows.append(row)
     cut = []
     for line in draw(st.lists(st.integers(0, len(rows) - 1), max_size=2,
@@ -485,13 +486,17 @@ def dataset_lines(draw, dataset):
             rows[line]["seq"] = offset + draw(st.integers(0, 2))
         else:
             cut.append(line)
-    lines = [_huge(row) for row in rows]
+    lines = [_huge(row) + draw(st.sampled_from(["", "", " ", "\t "])) for row in rows]
     for line in cut:
         lines[line] = lines[line][: draw(st.integers(0, len(lines[line]) - 1))]
+    if draw(st.booleans()):
+        line = draw(st.integers(0, len(lines) - 1))
+        lines[line] = draw(st.sampled_from([" ", "\t "])) + lines[line]
     for _ in range(draw(st.integers(0, 3))):
         lines.insert(draw(st.integers(0, len(lines))),
                      draw(st.sampled_from(["", "  ", "\t"])))
-    return "\n".join(lines) + "\n"
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + end
 
 
 def _loaded(load, path, catalog):
@@ -548,6 +553,7 @@ LINE_TWO = {
     "infinite-time": {"collect_ms": {"x": "HUGE"}},
     "overflowing-time": {"collect_ms": {"x": 10**400}},
     "unknown-time": {"collect_ms": {"zz": 1}},
+    "unknown-time-at-full-width": {"collect_ms": {"x": 1, "zz": 1}},
     "number-value": {"values": {"x": 7, "y": "b"}},
     "lone-surrogate": {"values": {"x": "\ud800", "y": "b"}},
     "negative-seq": {"seq": -1},
@@ -580,6 +586,21 @@ def test_the_first_faulty_line_is_reported(tmp_path, line_two, later_fault):
         assert got.startswith(f"{path}:{3 if accepted else 2}: ")
 
 
+@pytest.mark.parametrize("after", ["\x0c", "\x0b", "\u00a0", "\u2028", " x", "{}",
+                                   " []"])
+def test_text_after_a_line_s_document_is_reported(tmp_path, after):
+    # JSON allows only " \t\n\r" after a document; str.strip would take more.
+    rows = [{"browser_id": b, "seq": 0, "values": {"x": "a", "y": "b"}}
+            for b in ("u", "v", "w")]
+    lines = _rows_text(rows).splitlines()
+    lines[1] += after
+    path = tmp_path / "dataset.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    got = _loaded(load_observations, path, XY_CATALOG)
+    assert got == _loaded(reference.load_observations, path, XY_CATALOG)
+    assert got.startswith(f"{path}:2: ")
+
+
 def test_only_a_suspect_file_is_read_again_checked(tmp_path, monkeypatch):
     calls = []
 
@@ -599,6 +620,25 @@ def test_only_a_suspect_file_is_read_again_checked(tmp_path, monkeypatch):
     clean = load_observations(path, XY_CATALOG)
     assert calls == []
     assert clean.observations == reference.load_observations(path, XY_CATALOG)
+    # Clean files that must stay lean too: times for some attributes or none,
+    # keys out of catalog order, \r\n line ends and a one-attribute catalog.
+    untimed = [{**row, "collect_ms": {"y": 2.5}} if i % 2 else
+               {k: v for k, v in row.items() if k != "collect_ms"}
+               for i, row in enumerate(rows)]
+    reversed_keys = [{k: dict(reversed(v.items())) if isinstance(v, dict) else v
+                      for k, v in reversed(row.items())} for row in rows]
+    x_only = [{**row, "values": {"x": row["values"]["x"]},
+               "collect_ms": {"x": row["seq"] % 7}} for row in rows]
+    for catalog, text in [
+        (XY_CATALOG, _rows_text(untimed)),
+        (XY_CATALOG, _rows_text(reversed_keys)),
+        (XY_CATALOG, _rows_text(rows).replace("\n", "\r\n")),
+        (AttributeCatalog((AttributeSpec("x", "category"),)), _rows_text(x_only)),
+    ]:
+        path.write_text(text, encoding="utf-8")
+        assert load_observations(path, catalog).observations == (
+            reference.load_observations(path, catalog))
+        assert calls == []
     # An integral float seq is accepted, but only the checked source says so.
     for row in rows:
         row["seq"] -= 2**63
