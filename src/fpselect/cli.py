@@ -271,7 +271,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     dataset, attacker = _load_inputs(config)
     if reason := non_monotone_reason(attacker, dataset):
         _progress(f"warning: {reason}, so sensitivity may not be monotone and " + (
-            "the oracle measures every subset" if args.method == "oracle"
+            "the oracle searches every subset" if args.method == "oracle"
             else f"{args.method} can miss sets that meet alpha"))
     if greedy:
         result = select_greedy(dataset, attacker, config.selection,

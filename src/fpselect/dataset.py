@@ -275,9 +275,9 @@ def _fill(
     dataset: Dataset, catalog: AttributeCatalog, rows: Iterable[tuple], empty: str
 ) -> Dataset:
     """Write each ``(browser_id, seq, values, collect_ms)`` of ``rows`` into
-    ``dataset`` as code columns, then check each distinct value and all times
-    once, which rows of ``_checked_rows`` always pass. A seq that does not
-    increase is raised after that."""
+    ``dataset`` as code columns, then check each distinct value and browser id
+    and all times once, which rows of ``_checked_rows`` always pass. A seq that
+    does not increase is raised after that."""
     names = catalog.names
     # One call per row takes its cells in catalog order, a tuple at any width.
     cells = itemgetter(*names) if len(names) > 1 else lambda row: (row[names[0]],)
@@ -304,7 +304,7 @@ def _fill(
         stated += len(collect)
         ordinals.append(browsers.setdefault(browser_id, len(browsers)))
         seqs.append(seq)
-    "".join(chain.from_iterable(books)).encode("utf-8")  # str, no surrogate
+    "".join(chain(browsers, *books)).encode("utf-8")  # str, no surrogate
     matrix = np.array(times, dtype=float)
     if (not {*map(type, times)} <= {int, float} or (matrix < 0).any()
             or np.isfinite(matrix).sum() != stated):
@@ -367,6 +367,8 @@ def _checked_rows(rows: Iterable[tuple], known: set[str]) -> Iterator[tuple]:
                 raise SchemaError(
                     f"{where}: collect_ms for {a!r} must be finite and non-negative"
                 )
+        if not browser_id.isascii() and re.search("[\ud800-\udfff]", browser_id):
+            raise SchemaError(f"{where}: 'browser_id' is not valid UTF-8")
         yield browser_id, seq, values, collect_ms
 
 

@@ -211,11 +211,11 @@ def _has_subset(subset: AttrSet, pool: list[AttrSet]) -> bool:
 
 
 class Evaluator:
-    """Caches (cost, sensitivity) per attribute set for one run.
+    """Caches cost, and (cost, sensitivity), per attribute set for one run.
 
-    Both measures are pure given the dataset and attacker, so the cache
-    never changes results; it only keeps repeated lattice visits cheap.
-    The number of cache entries is the number of explored sets.
+    Both measures are pure given the dataset and attacker, so the caches
+    never change results; they only keep repeated lattice visits cheap.
+    The number of costed sets is the number of explored sets.
     """
 
     def __init__(
@@ -224,15 +224,22 @@ class Evaluator:
         self.dataset = dataset
         self.attacker = attacker
         self.weights = weights
+        self._costs: dict[AttrSet, CostBreakdown] = {}
         self._cache: dict[AttrSet, tuple[CostBreakdown, float]] = {}
+
+    def cost(self, key: AttrSet) -> CostBreakdown:
+        """The cost of ``key``, a canonical set, without its sensitivity."""
+        hit = self._costs.get(key)
+        if hit is None:
+            hit = self._costs[key] = total_cost(key, self.dataset, self.weights)
+        return hit
 
     def evaluate(self, attrs: Iterable[str]) -> tuple[CostBreakdown, float]:
         key = self.dataset.catalog.canonical(attrs)
         hit = self._cache.get(key)
         if hit is None:
             hit = self._cache[key] = (
-                total_cost(key, self.dataset, self.weights),
-                impersonated_share(key, self.attacker, self.dataset),
+                self.cost(key), impersonated_share(key, self.attacker, self.dataset)
             )
         return hit
 
@@ -242,7 +249,7 @@ class Evaluator:
 
     @property
     def measured_count(self) -> int:
-        return len(self._cache)
+        return len(self._costs)
 
 
 # What a method's own search found: a canonical set, or None, and its trace.
@@ -373,8 +380,10 @@ def select_exhaustive(
     config: SelectionConfig,
     max_attributes: int = 15,
 ) -> SelectionResult:
-    """True optimum by enumerating every subset. Exponential; keep n small.
-    Unless sensitivity is monotone, a full set above alpha proves nothing."""
+    """True optimum: costs and ranks all 2^n subsets by ``(total_points, set)``
+    (its ``explored_count``), then measures sensitivity in that order up to the
+    first set that meets alpha. Unless sensitivity is monotone, a full set
+    above alpha proves nothing."""
     names = dataset.catalog.names
     if len(names) > max_attributes:
         raise ConfigError(
@@ -382,14 +391,15 @@ def select_exhaustive(
         )
 
     def search(evaluator: Evaluator) -> Found:
-        best: tuple[float, AttrSet] | None = None
-        for size in range(len(names) + 1):
-            for combo in itertools.combinations(names, size):
-                breakdown, sens = evaluator.evaluate(combo)
-                key = (breakdown.total_points, combo)
-                if sens <= config.alpha and (best is None or key < best):
-                    best = key
-        return (None if best is None else best[1]), ()
+        ranked = sorted(
+            (evaluator.cost(combo).total_points, combo)
+            for size in range(len(names) + 1)
+            for combo in itertools.combinations(names, size)
+        )
+        for _, combo in ranked:
+            if evaluator.evaluate(combo)[1] <= config.alpha:
+                return combo, ()
+        return None, ()
 
     monotone = non_monotone_reason(attacker, dataset) is None
     return _select("oracle", dataset, attacker, config, search, gate=monotone)

@@ -15,17 +15,22 @@ calibration's thresholds go through it.
 
 ``load_observations`` is the row loader from before the loader wrote code
 columns: it checks each JSON line into an ``Observation`` and then checks
-that every browser's seqs increase. Like the loader, it refuses a value
-that has no UTF-8 form, a lone surrogate. ``browser_groups``, ``user_mapping``,
-``codes``, ``attribute_times``, ``pairs`` and ``pmf`` are the views the
-``Dataset`` built from those rows, and ``pmf`` counts projected stored
-fingerprints with a ``Counter``. Property tests pin the coded kernels and
-the column loader to them, float for float, count for count and error
+that every browser's seqs increase. Like the loader, it refuses a value or a
+browser id that has no UTF-8 form, a lone surrogate. ``browser_groups``,
+``user_mapping``, ``codes``, ``attribute_times``, ``pairs`` and ``pmf`` are
+the views the ``Dataset`` built from those rows, and ``pmf`` counts projected
+stored fingerprints with a ``Counter``. Property tests pin the coded kernels
+and the column loader to them, float for float, count for count and error
 message for error message.
+
+``select_exhaustive`` is the oracle from before it ranked the subsets by
+cost: it measures the cost and the sensitivity of every subset and keeps the
+least ``(total_points, set)`` that meets alpha.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -48,6 +53,7 @@ from fpselect import (
     SchemaError,
     fp_match,
     project,
+    total_cost,
 )
 from fpselect.catalog import as_int
 from fpselect.dataset import CodedRows, ValueTuple, encode_rows, utf8_size
@@ -57,7 +63,14 @@ from fpselect.matching import (
     distance,
     distance_kind_for,
 )
-from fpselect.sensitivity import AttackerInstance, Dictionary, UserMapping
+from fpselect.selection import SelectionConfig, SelectionResult
+from fpselect.sensitivity import (
+    AttackerInstance,
+    Dictionary,
+    UserMapping,
+    impersonated_share,
+    non_monotone_reason,
+)
 
 
 def edit_distance(x: str, y: str) -> int:
@@ -207,6 +220,10 @@ def _validate_observation(obs: Observation, names: set[str], where: str) -> None
             raise SchemaError(
                 f"{where}: collect_ms for {a!r} must be finite and non-negative"
             )
+    try:
+        obs.browser_id.encode("utf-8")
+    except UnicodeEncodeError:
+        raise SchemaError(f"{where}: 'browser_id' is not valid UTF-8") from None
 
 
 def browser_groups(observations: Sequence[Observation]) -> dict[str, list[int]]:
@@ -446,3 +463,33 @@ def _negative_distances(
         y = observations[rng.choice(groups[second])].values[attr.name]
         out.append(_value_distance(attr, x, y))
     return out
+
+
+def select_exhaustive(
+    dataset: Dataset, attacker: AttackerInstance, config: SelectionConfig
+) -> SelectionResult:
+    """Measure the full set; unless it fails alpha under a monotone attacker,
+    measure every subset and choose the least ``(total_points, set)`` that
+    meets alpha."""
+    names = dataset.catalog.names
+    measured = {}
+
+    def measure(combo):
+        if combo not in measured:
+            measured[combo] = (total_cost(combo, dataset, config.weights),
+                               impersonated_share(combo, attacker, dataset))
+        return measured[combo]
+
+    _, candidate_sensitivity = measure(names)
+    best = None
+    if candidate_sensitivity <= config.alpha or non_monotone_reason(attacker, dataset):
+        for size in range(len(names) + 1):
+            for combo in itertools.combinations(names, size):
+                breakdown, sens = measure(combo)
+                key = (breakdown.total_points, combo)
+                if sens <= config.alpha and (best is None or key < best):
+                    best = key
+    chosen = None if best is None else best[1]
+    breakdown, sens = (None, None) if chosen is None else measure(chosen)
+    return SelectionResult("oracle", chosen, breakdown, sens, candidate_sensitivity,
+                           len(measured))

@@ -16,7 +16,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fpselect import CostWeights, attribute_cost_stats, load_catalog
@@ -825,6 +825,8 @@ MALFORMED = {
     "collect-ms-array": lambda t, d, c: _first_row(t, d, c, collect_ms=[1]),
     "value-lone-surrogate": lambda t, d, c: _first_row(t, d, c, values={
         **json.loads(d.read_text().splitlines()[0])["values"], "Screen": "\ud800"}),
+    "browser-id-lone-surrogate": lambda t, d, c: _first_row(
+        t, d, c, browser_id="\ud800"),
     "browser-id-null": lambda t, d, c: _first_row(t, d, c, browser_id=None),
     "browser-id-number": lambda t, d, c: _first_row(t, d, c, browser_id=1),
     "seq-overflow": lambda t, d, c: _first_row(t, d, c, seq="HUGE"),
@@ -1258,7 +1260,7 @@ def test_every_search_warns_when_the_attacker_may_break_monotonicity(
     tmp_path, capsys, command, status, chosen
 ):
     """The full set measures 0.7, above alpha, yet {a} meets it: the oracle
-    measures every subset and finds it; the other searches trust the full
+    searches every subset and finds it; the other searches trust the full
     set, and each says why that may be wrong."""
     assert main([*command.split(), *_file_attacker_example(tmp_path)]) == status
     assert json.loads((tmp_path / "out.json").read_text())["chosen"] == chosen
@@ -1280,33 +1282,46 @@ def _paths(doc, prefix=()):
         yield from _paths(value, prefix + (key,))
 
 
-def _fuzz_documents(directory):
-    """The valid input documents by file name, with the argv that reads each.
-
-    The dataset document is the first line of the worked example's file,
-    which is written to ``directory`` with its catalog.
-    """
-    dataset, catalog = write_table1_files(directory, repeats=2)
-    rows = [json.loads(line) for line in dataset.read_text().splitlines()]
+def _fuzz_documents():
+    """The valid input documents by file name, with the commands that read
+    each. The dataset document is the first line of the worked example's
+    file, which ``write_table1_files`` writes with its catalog; ``evaluate``
+    is the only report that lists browser ids."""
     names = sorted(TABLE1_ATTRS)
-    users = sorted({tuple(row["values"][a] for a in names) for row in rows})
-    select = ["select", "--config", "run.json"]
+    users = sorted({tuple(dict(zip(TABLE1_ATTRS, row))[a] for a in names)
+                    for row in TABLE1_ROWS.values()})
+    config = ["--config", "run.json"]
+    searches = [
+        ["select", *config],
+        ["baseline", "--method", "cond-entropy", *config],
+        ["oracle", *config],
+        ["evaluate", "--attrs", "CookieEnabled", "--stats-out", "stats.json", *config],
+    ]
+    calibrate = ["calibrate", "--dataset", "dataset.jsonl", "--catalog",
+                 "catalog.json", "--out", "calibration.json", "--write-catalog",
+                 "calibrated.json"]
     synth = ["synth", "--config", "generator.json", "--out", "synth.jsonl",
              "--catalog-out", "synth-catalog.json"]
     return {
-        "dataset.jsonl": (rows[0], select),
-        "catalog.json": (json.loads(catalog.read_text()), select),
+        "dataset.jsonl": ({"browser_id": "u1", "seq": 0,
+                           "values": dict(zip(TABLE1_ATTRS, TABLE1_ROWS["u1"])),
+                           "collect_ms": {}}, [*searches, calibrate]),
+        "catalog.json": ([{"name": name, "kind": "category"} for name in TABLE1_ATTRS],
+                         [*searches, calibrate]),
         "run.json": ({
             "dataset": "dataset.jsonl", "catalog": "catalog.json", "alpha": 0.5,
             "beta": 2, "k": 2, "seed": 1, "weights": [1, 10, 10000],
             "knowledge": "file", "pmf_path": "pmf.json", "out": "report.json",
-        }, select),
+        }, searches),
         "pmf.json": ({
             "attributes": names,
             "entries": [{"values": list(u), "p": 1 / len(users)} for u in users],
-        }, select),
-        "generator.json": (GENERATOR_CONFIG, synth),
+        }, searches),
+        "generator.json": (GENERATOR_CONFIG, [synth]),
     }
+
+
+FUZZ_DOCUMENTS = _fuzz_documents()
 
 
 def _write_document(name, doc):
@@ -1316,35 +1331,76 @@ def _write_document(name, doc):
     Path(name).write_text(text + "\n")
 
 
-FUZZ_VALUES = [None, True, 1.5, -1, "HUGE", "x", [], {}]
+FUZZ_VALUES = [None, True, 1.5, -1, "HUGE", "x", [], {}, "\ud800", math.nan,
+               math.inf]
+# A document by name, then a key or index path into it.
+FUZZ_SITES = st.sampled_from(sorted(FUZZ_DOCUMENTS)).flatmap(
+    lambda name: st.tuples(st.just(name),
+                           st.sampled_from(list(_paths(FUZZ_DOCUMENTS[name][0])))))
+
+
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def _strings(doc):
+    """Every key and string value in a JSON document."""
+    if isinstance(doc, str):
+        yield doc
+    elif isinstance(doc, dict):
+        for key, value in doc.items():
+            yield key
+            yield from _strings(value)
+    elif isinstance(doc, list):
+        for value in doc:
+            yield from _strings(value)
+
+
+def _check_written(directory):
+    """Parse each JSON or JSON Lines file that a command wrote in
+    ``directory`` as strict JSON, with only UTF-8 strings, then delete it."""
+    for path in sorted(directory.iterdir()):
+        if path.name in FUZZ_DOCUMENTS or path.suffix not in (".json", ".jsonl"):
+            continue
+        text = path.read_text(encoding="utf-8")
+        for doc in [text] if path.suffix == ".json" else text.splitlines():
+            for string in _strings(json.loads(doc, parse_constant=_not_json)):
+                string.encode("utf-8")
+        path.unlink()
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_one_mutated_field_never_escapes_as_a_traceback(data):
+@given(FUZZ_SITES, st.sampled_from(FUZZ_VALUES))
+# The browser id no UTF-8 file can hold, which only evaluate's report lists.
+@example(("dataset.jsonl", ("browser_id",)), "\ud800")
+def test_one_mutated_field_never_escapes_as_a_traceback(site, value):
+    """One field of one input document set to a fuzz value: every command
+    that reads the document exits 0, 2, 3 or 4 without a traceback, and
+    whatever it writes is strict JSON with UTF-8 strings."""
+    name, path = site
+    doc, commands = FUZZ_DOCUMENTS[name]
+    mutated = target = copy.deepcopy(doc)
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as directory:
         # The documents name each other by relative path.
         os.chdir(directory)
         try:
-            documents = _fuzz_documents(Path(directory))
-            name = data.draw(st.sampled_from(sorted(documents)))
-            doc, argv = documents[name]
-            path = data.draw(st.sampled_from(list(_paths(doc))))
-            mutated = target = copy.deepcopy(doc)
-            for key in path[:-1]:
-                target = target[key]
-            target[path[-1]] = data.draw(st.sampled_from(FUZZ_VALUES))
-            for other, (original, _) in documents.items():
+            write_table1_files(Path(directory), repeats=2)
+            for other, (original, _) in FUZZ_DOCUMENTS.items():
                 _write_document(other, mutated if other == name else original)
-            err = io.StringIO()
-            with redirect_stderr(err), redirect_stdout(io.StringIO()):
-                status = main(argv)
+            for argv in commands:
+                err = io.StringIO()
+                with redirect_stderr(err), redirect_stdout(io.StringIO()):
+                    status = main(argv)
+                assert status in (EXIT_OK, EXIT_NO_SOLUTION, EXIT_SCHEMA_ERROR,
+                                  EXIT_BAD_CONFIG), argv
+                assert "Traceback" not in err.getvalue()
+                _check_written(Path(directory))
         finally:
             os.chdir(home)
-    assert status in (EXIT_OK, EXIT_NO_SOLUTION, EXIT_SCHEMA_ERROR,
-                      EXIT_BAD_CONFIG)
-    assert "Traceback" not in err.getvalue()
 
 
 class TestConsoleEntry:

@@ -411,6 +411,7 @@ class TestDatasetValidation:
         ("collect_ms", {"Screen": True}),
         pytest.param("values", {**dict(zip(TABLE1_ATTRS, TABLE1_ROWS["u1"])),
                                 "Screen": "\udfff"}, id="values-lone-surrogate"),
+        pytest.param("browser_id", "u\ud800", id="browser-id-lone-surrogate"),
     ])
     def test_constructor_refuses_what_the_loader_refuses(
         self, tmp_path, catalog, field, value

@@ -36,6 +36,7 @@ from fpselect import (
     Observation,
     Pmf,
     SchemaError,
+    SelectionConfig,
     build_dictionary,
     calibrate_thresholds,
     consecutive_pairs,
@@ -44,6 +45,7 @@ from fpselect import (
     pmf,
     population_attacker,
     project,
+    select_exhaustive,
     time_cost,
     uniform_attacker,
 )
@@ -441,14 +443,109 @@ def test_time_cost_is_the_mean_bit_for_bit(instance, data):
     assert time_cost(attrs, timed) == float(np.mean(per_obs))
 
 
+def _outcome(run, *args, **kwargs):
+    """The result, or the type and message of the error it ends in."""
+    try:
+        return run(*args, **kwargs)
+    except (ConfigError, SchemaError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def crowded_files(draw):
+    """Users seen twice on two or three attributes of three values, most of
+    them sharing a few fingerprints, and a file attacker over the same values.
+    Half the time the users' commonest fingerprint is the likeliest guess, yet
+    two or three guesses that share another first value outweigh it on that
+    attribute alone: at beta 1 the full set then reaches the crowd and the
+    first attribute alone reaches only the users with that other value."""
+    names = ("a", "b", "c")[: draw(st.integers(2, 3))]
+    catalog = AttributeCatalog(tuple(AttributeSpec(a, "category") for a in names))
+    row = st.tuples(*[st.sampled_from("012")] * len(names))
+    row = row | st.sampled_from(draw(st.lists(row, min_size=1, max_size=3)))
+    observations, stored = [], Counter()
+    for u, first in enumerate(draw(st.lists(row, min_size=1, max_size=12))):
+        stored[first] += 1
+        for seq, values in enumerate([first, draw(st.just(first) | row)]):
+            observations.append(Observation(f"u{u}", seq, dict(zip(names, values)), {}))
+    beta = 1
+    if draw(st.booleans()):
+        crowd = stored.most_common(1)[0][0]
+        other = draw(st.sampled_from([v for v in "012" if v != crowd[0]]))
+        rests = draw(st.lists(row.map(lambda v: v[1:]), min_size=2, max_size=3,
+                              unique=True))
+        support = [crowd, *((other, *rest) for rest in rests)]
+        weights = [3] + [2] * len(rests)
+    else:
+        support = draw(st.lists(row, min_size=1, max_size=9, unique=True))
+        weights = draw(st.lists(st.integers(1, 4), min_size=len(support),
+                                max_size=len(support)))
+        beta = draw(st.integers(1, 3))
+    entries = tuple((v, w / sum(weights)) for v, w in zip(support, weights))
+    if abs(sum(p for _, p in entries) - 1.0) > 1e-9:
+        entries = tuple((v, 1 / len(support)) for v in support)
+    attacker = AttackerInstance(Pmf(names, entries), beta, "file")
+    return Dataset(catalog, tuple(observations)), attacker
+
+
+def _with_free_attribute(dataset, attacker, name):
+    """The instance plus a category attribute ``name`` holding "" on every
+    row and in every guess: it costs nothing and splits no group, so each
+    set ties its union with ``name`` in ``total_points`` and in sensitivity.
+    Named first, the union also sorts before a set it does not start."""
+    catalog = AttributeCatalog((*dataset.catalog.attributes,
+                                AttributeSpec(name, "category")))
+    free = Dataset(catalog, tuple(
+        dataclasses.replace(o, values={**o.values, name: ""})
+        for o in dataset.observations))
+    if attacker.knowledge == "population":
+        return free, population_attacker(free, attacker.beta)
+    if attacker.knowledge == "uniform":
+        return free, uniform_attacker(free, attacker.beta)
+    i = catalog.names.index(name)
+    entries = tuple(((*v[:i], "", *v[i:]), p) for v, p in attacker.pmf.entries)
+    return free, AttackerInstance(Pmf(catalog.names, entries), attacker.beta, "file")
+
+
+@SETTINGS
+@given(instances() | crowded_files(), st.data())
+def test_oracle_matches_the_full_enumeration(instance, data):
+    """Ranking every subset by cost and measuring sensitivity only up to the
+    first that meets alpha reports what measuring every subset reports: the
+    set, its breakdown and sensitivity, and the explored count. The draws
+    hold file attackers that break monotonicity, tolerant catalogs, times,
+    ties in ``total_points`` and an attribute that costs nothing."""
+    dataset, attacker = instance
+    if data.draw(st.booleans()):
+        times = st.sampled_from([0, 0.5, 2.0])
+        dataset = Dataset(dataset.catalog, tuple(
+            dataclasses.replace(o, collect_ms={a: data.draw(times) for a in o.values})
+            for o in dataset.observations))
+    if data.draw(st.booleans()):
+        name = data.draw(st.sampled_from(["_", "z"]))
+        dataset, attacker = _with_free_attribute(dataset, attacker, name)
+    # Alpha at a nonzero sensitivity some subset measures, or below them all.
+    names = dataset.catalog.names
+    shares = {SENSITIVITY.impersonated_share(subset, attacker, dataset)
+              for size in range(len(names) + 1)
+              for subset in itertools.combinations(names, size)}
+    config = SelectionConfig(
+        alpha=data.draw(st.sampled_from(sorted(shares - {0} | {0.01}))),
+        weights=data.draw(st.sampled_from([CostWeights(), CostWeights(1, 1, 1)])))
+    # Without consecutive observations both end in the same ConfigError.
+    assert _outcome(select_exhaustive, dataset, attacker, config) == (
+        _outcome(reference.select_exhaustive, dataset, attacker, config))
+
+
 @st.composite
 def dataset_lines(draw, dataset):
     """JSON lines of ``dataset`` with blank lines, ``\\n`` or ``\\r\\n`` line
     ends, leading or trailing JSON whitespace, values and times keyed in any
     order, times for some attributes, seqs past 2**63 or not, and up to two
-    lines mutated, one field each: set to a fuzz value or a lone surrogate,
-    deleted, a value renamed to another attribute, a value or time added for an
-    unknown one, the seq redrawn, or the line cut short."""
+    lines mutated, one field each: set to a fuzz value (a lone surrogate, NaN
+    and infinity among them), deleted, a value renamed to another attribute,
+    a value or time added for an unknown one, the seq redrawn, or the line
+    cut short."""
     names = dataset.catalog.names
     offset = draw(st.sampled_from([0, 2**63 + 1]))
     rows = []
@@ -471,7 +568,7 @@ def dataset_lines(draw, dataset):
             for key in path[:-1]:
                 target = target[key]
             if mutation == "set":
-                fuzz = draw(st.sampled_from([*FUZZ_VALUES, "\ud800"]))
+                fuzz = draw(st.sampled_from(FUZZ_VALUES))
                 target[path[-1]] = copy.deepcopy(fuzz)
             else:
                 del target[path[-1]]
@@ -556,6 +653,7 @@ LINE_TWO = {
     "unknown-time-at-full-width": {"collect_ms": {"x": 1, "zz": 1}},
     "number-value": {"values": {"x": 7, "y": "b"}},
     "lone-surrogate": {"values": {"x": "\ud800", "y": "b"}},
+    "browser-id-lone-surrogate": {"browser_id": "\ud800"},
     "negative-seq": {"seq": -1},
     "string-time": {"collect_ms": {"x": "2.5"}},
     "float-seq": {"seq": 3.0},
@@ -649,14 +747,6 @@ def test_only_a_suspect_file_is_read_again_checked(tmp_path, monkeypatch):
     assert suspect.observations == reference.load_observations(path, XY_CATALOG)
 
 
-def _calibration(calibrate, *args, **kwargs):
-    """The report, or the type and message of the error it ends in."""
-    try:
-        return calibrate(*args, **kwargs)
-    except (ConfigError, SchemaError) as exc:
-        return type(exc), str(exc)
-
-
 # Windows up to past the 24 browsers an instance holds at most; the reference
 # builds one list per window, so the bound stays small.
 @SETTINGS
@@ -665,7 +755,7 @@ def test_calibration_matches_reference(instance, windows, seed, negative_cap):
     dataset, _ = instance
     args = dataset, windows
     kwargs = {"seed": seed, "negative_cap": negative_cap}
-    assert _calibration(calibrate_thresholds, *args, **kwargs) == _calibration(
+    assert _outcome(calibrate_thresholds, *args, **kwargs) == _outcome(
         reference.calibrate_thresholds, *args, **kwargs
     )
 

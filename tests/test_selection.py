@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fpselect.selection
 from fpselect import (
     AttributeSpec,
     ConfigError,
     CostWeights,
+    Pmf,
     SelectionConfig,
     attribute_cost_stats,
     efficiency,
@@ -29,6 +31,7 @@ from fpselect import (
     total_cost,
     uniform_attacker,
 )
+from fpselect.sensitivity import AttackerInstance
 from fpselect.synth import SynthAttribute, SynthConfig, synthesize
 
 from conftest import make_dataset, table1_dataset
@@ -332,6 +335,21 @@ class TestConditionalEntropyBaseline:
         assert conditional.explored_count < entropy.explored_count
 
 
+def _non_monotone_example():
+    """Three users hold a = 0 and seven a = 1, b = 0, each seen twice. At
+    beta 1 the file attacker's guess on {a} is a = 0 (mass 0.6), which reaches
+    3 users, on {b} b = 0 (mass 0.6), which reaches 8, and on {a, b} (1, 0)
+    (mass 0.4), which reaches 7."""
+    rows = [("0", "0"), ("0", "1"), ("0", "2")] + [("1", "0")] * 7
+    dataset = make_dataset(
+        (AttributeSpec("a", "category"), AttributeSpec("b", "category")),
+        [(f"u{i}", seq, {"a": a, "b": b})
+         for i, (a, b) in enumerate(rows) for seq in (0, 1)])
+    entries = ((("0", "0"), 0.2), (("0", "1"), 0.2), (("0", "2"), 0.2),
+               (("1", "0"), 0.4))
+    return dataset, AttackerInstance(Pmf(("a", "b"), entries), 1, "file")
+
+
 class TestExhaustive:
     def test_vacuous_threshold_selects_the_empty_set(self, dataset_with_pairs):
         attacker = population_attacker(dataset_with_pairs, beta=1)
@@ -370,6 +388,50 @@ class TestExhaustive:
         config = SelectionConfig(alpha=0.05, k=1)
         result = select_exhaustive(dataset_with_pairs, attacker, config)
         assert result.is_no_solution
+
+    @pytest.mark.parametrize("example, alpha, calls", [
+        # The full set, which ranks last here, then up to the choice's rank.
+        ("population", 1.0, 2),  # the empty set ranks first
+        ("population", 0.5, 4),  # {Language} ranks third
+        ("population", 0.2, 11),  # {Language, Screen} ranks tenth of 16
+        ("population", 0.05, 1),  # monotone: the full set fails, so all do
+        ("file", 0.9, 3),  # {a} ranks second, tied in cost with {b}
+        ("file", 0.1, 4),  # not monotone: every set is measured, none meets
+    ])
+    def test_sensitivity_is_measured_only_up_to_the_choice(
+        self, monkeypatch, dataset_with_pairs, example, alpha, calls
+    ):
+        """The oracle measures the full set, then each set in order of
+        ``(total_points, set)`` up to the first that meets alpha."""
+        if example == "population":
+            dataset = dataset_with_pairs
+            attacker = population_attacker(dataset, beta=1)
+        else:
+            dataset, attacker = _non_monotone_example()
+        measured = []
+
+        def counted(attrs, *args):
+            measured.append(attrs)
+            return share(attrs, *args)
+
+        share = fpselect.selection.impersonated_share
+        monkeypatch.setattr(fpselect.selection, "impersonated_share", counted)
+        config = SelectionConfig(alpha=alpha)
+        result = select_exhaustive(dataset, attacker, config)
+        names = dataset.catalog.names
+        ranked = sorted(
+            (total_cost(combo, dataset, config.weights).total_points, combo)
+            for size in range(len(names) + 1)
+            for combo in itertools.combinations(names, size))
+        order = [combo for _, combo in ranked]
+        if result.chosen is None:
+            assert len(measured) == (1 if example == "population" else len(order))
+        else:
+            rank = order.index(result.chosen) + 1
+            assert len(measured) == rank + (order.index(names) + 1 > rank)
+        assert len(measured) == calls
+        assert len(set(measured)) == calls
+        assert result.explored_count == (1 if calls == 1 else len(order))
 
     def test_too_many_attributes_rejected(self):
         ds = random_synth(random.Random(0), max_attrs=6, min_attrs=5)
