@@ -53,6 +53,7 @@ EXIT_BAD_CONFIG = 4
 ENV_DATASET = "FPSELECT_DATASET"
 ENV_CATALOG = "FPSELECT_CATALOG"
 ENV_OUT = "FPSELECT_OUT"
+MAX_ORACLE_N = 20  # the oracle holds 2**n costed subsets in memory
 
 
 class _Parser(argparse.ArgumentParser):
@@ -268,6 +269,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
     greedy = args.method == "greedy"
     if greedy and args.threads is not None and args.threads < 1:
         raise ConfigError("--threads must be >= 1")
+    if args.method == "oracle" and not 0 <= args.max_n <= MAX_ORACLE_N:
+        raise ConfigError(f"--max-n must be in [0, {MAX_ORACLE_N}]")
     dataset, attacker = _load_inputs(config)
     if reason := non_monotone_reason(attacker, dataset):
         _progress(f"warning: {reason}, so sensitivity may not be monotone and " + (
@@ -419,7 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="exhaustive enumeration")
     p_oracle.add_argument("--max-n", dest="max_n", type=int, default=15,
-                          help="refuse to enumerate above this attribute count")
+                          help="refuse to enumerate above this attribute count,"
+                               f" itself at most {MAX_ORACLE_N}")
     _add_common_selection_flags(p_oracle)
     p_oracle.set_defaults(handler=_cmd_search, method="oracle")
     for p_search in (p_select, p_baseline, p_oracle):

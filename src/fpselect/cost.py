@@ -134,6 +134,36 @@ def _ins_cost(canon: tuple[str, ...], dataset: Dataset) -> float:
     return sum(changes[a] for a in canon) / pairs
 
 
+def subset_costs(
+    dataset: Dataset, weights: CostWeights
+) -> dict[tuple[str, ...], CostBreakdown]:
+    """``total_cost`` of every subset, bit for bit, in one depth-first pass in
+    canonical order. Each set extends its prefix by one attribute, so its byte
+    total, change count and synchronous time sum are the prefix's plus one
+    column: ``_time_cost``'s additions in its order. The maximum over the
+    asynchronous columns is exact in any order; as there, the sum is its
+    first argument. The walk carries at most n + 1 per-observation arrays."""
+    _ins_cost((), dataset)  # refuses a dataset without a consecutive pair
+    rows, pairs = len(dataset), dataset.consecutive_pair_count
+    totals, changes = dataset.attribute_byte_totals, dataset.attribute_change_counts
+    times, spec = dataset.attribute_times, dataset.catalog.spec
+    columns = [(a, times[a], spec(a).is_async) for a in dataset.catalog.names]
+    costs = {}
+
+    def visit(start, prefix, memory, changed, sync, latest) -> None:
+        total_ms = (sync if latest is None else np.maximum(sync, latest)).sum()
+        m, t, i = memory / rows, float(total_ms / rows), changed / pairs
+        costs[prefix] = CostBreakdown(m, t, i, weights.combine(m, t, i))
+        for j, (a, column, is_async) in enumerate(columns[start:], start + 1):
+            if is_async and latest is not None:
+                column = np.maximum(latest, column)
+            visit(j, (*prefix, a), memory + totals[a], changed + changes[a],
+                  sync if is_async else sync + column, column if is_async else latest)
+
+    visit(0, (), 0, 0, np.zeros(rows), None)
+    return costs
+
+
 @dataclass(frozen=True)
 class AttributeCostStats:
     """Singleton costs per attribute plus dimension-wise aggregates."""

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .cost import CostBreakdown, CostWeights, total_cost
+from .cost import CostBreakdown, CostWeights, subset_costs, total_cost
 from .dataset import Dataset, joint_entropy_bits
 from .errors import ConfigError
 from .sensitivity import (AttackerInstance, impersonated_mask, impersonated_share,
@@ -215,7 +215,8 @@ class Evaluator:
 
     Both measures are pure given the dataset and attacker, so the caches
     never change results; they only keep repeated lattice visits cheap.
-    The number of costed sets is the number of explored sets.
+    The number of costed sets is the number of explored sets. The oracle
+    fills the cost cache with its whole lattice from ``subset_costs``.
     """
 
     def __init__(
@@ -227,20 +228,15 @@ class Evaluator:
         self._costs: dict[AttrSet, CostBreakdown] = {}
         self._cache: dict[AttrSet, tuple[CostBreakdown, float]] = {}
 
-    def cost(self, key: AttrSet) -> CostBreakdown:
-        """The cost of ``key``, a canonical set, without its sensitivity."""
-        hit = self._costs.get(key)
-        if hit is None:
-            hit = self._costs[key] = total_cost(key, self.dataset, self.weights)
-        return hit
-
     def evaluate(self, attrs: Iterable[str]) -> tuple[CostBreakdown, float]:
         key = self.dataset.catalog.canonical(attrs)
         hit = self._cache.get(key)
         if hit is None:
+            cost = self._costs.get(key)
+            if cost is None:
+                cost = self._costs[key] = total_cost(key, self.dataset, self.weights)
             hit = self._cache[key] = (
-                self.cost(key), impersonated_share(key, self.attacker, self.dataset)
-            )
+                cost, impersonated_share(key, self.attacker, self.dataset))
         return hit
 
     def totals(self, attrs: AttrSet) -> tuple[float, float]:
@@ -380,10 +376,10 @@ def select_exhaustive(
     config: SelectionConfig,
     max_attributes: int = 15,
 ) -> SelectionResult:
-    """True optimum: costs and ranks all 2^n subsets by ``(total_points, set)``
-    (its ``explored_count``), then measures sensitivity in that order up to the
-    first set that meets alpha. Unless sensitivity is monotone, a full set
-    above alpha proves nothing."""
+    """True optimum: costs all 2^n subsets (its ``explored_count``) in one
+    depth-first pass, ranks them by ``(total_points, set)``, then measures
+    sensitivity in that order up to the first set that meets alpha. Unless
+    sensitivity is monotone, a full set above alpha proves nothing."""
     names = dataset.catalog.names
     if len(names) > max_attributes:
         raise ConfigError(
@@ -391,11 +387,9 @@ def select_exhaustive(
         )
 
     def search(evaluator: Evaluator) -> Found:
-        ranked = sorted(
-            (evaluator.cost(combo).total_points, combo)
-            for size in range(len(names) + 1)
-            for combo in itertools.combinations(names, size)
-        )
+        costs = evaluator._costs
+        costs.update(subset_costs(dataset, config.weights))
+        ranked = sorted((c.total_points, combo) for combo, c in costs.items())
         for _, combo in ranked:
             if evaluator.evaluate(combo)[1] <= config.alpha:
                 return combo, ()

@@ -326,6 +326,42 @@ class TestBaselineAndOracleCommands:
         ])
         assert status == EXIT_BAD_CONFIG
 
+    @pytest.mark.parametrize("max_n", ["-1", "21", "31", str(2**63)])
+    def test_oracle_refuses_a_max_n_outside_0_20_before_reading_input(
+        self, tmp_path, capsys, max_n
+    ):
+        """A bound past 20 would let the oracle rank 2**n subsets in memory,
+        so it exits 4 with a --dataset that names no file, allocating nothing."""
+        missing = str(tmp_path / "missing.jsonl")
+        _, catalog = write_table1_files(tmp_path, repeats=2)
+        capsys.readouterr()
+        assert main(["oracle", "--dataset", missing, "--catalog", str(catalog),
+                     "--alpha", "0.2", "--max-n", max_n]) == EXIT_BAD_CONFIG
+        assert capsys.readouterr() == (
+            "", "fpselect: invalid configuration: --max-n must be in [0, 20]\n")
+
+    def test_oracle_takes_a_max_n_of_0_and_of_20(self, tmp_path, capsys):
+        dataset, catalog = write_table1_files(tmp_path, repeats=2)
+        argv = ["oracle", "--dataset", str(dataset), "--catalog", str(catalog),
+                "--alpha", "0.2", "--out", str(tmp_path / "report.json")]
+        assert main([*argv, "--max-n", "20"]) == EXIT_OK
+        capsys.readouterr()
+        assert main([*argv, "--max-n", "0"]) == EXIT_BAD_CONFIG
+        assert capsys.readouterr().err == ("fpselect: invalid configuration:"
+                                           " 4 attributes exceed the exhaustive"
+                                           " limit of 0\n")
+
+    def test_oracle_without_a_consecutive_pair_exits_4(self, tmp_path, capsys):
+        """Instability needs a browser seen twice; the oracle says so, as
+        every cost does."""
+        dataset, catalog = write_table1_files(tmp_path, repeats=1)
+        capsys.readouterr()
+        assert main(["oracle", "--dataset", str(dataset), "--catalog", str(catalog),
+                     "--alpha", "1"]) == EXIT_BAD_CONFIG
+        assert capsys.readouterr() == (
+            "", "fpselect: invalid configuration: instability needs at least one"
+                " pair of consecutive observations\n")
+
 
 class TestEvaluateCommand:
     def test_reports_cost_and_reach(self, tmp_path, table1_paths):

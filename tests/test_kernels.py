@@ -47,8 +47,10 @@ from fpselect import (
     project,
     select_exhaustive,
     time_cost,
+    total_cost,
     uniform_attacker,
 )
+from fpselect.cost import subset_costs
 from fpselect.dataset import encode_rows, load_observations
 from fpselect.matching import (
     _draw_table,
@@ -441,6 +443,68 @@ def test_time_cost_is_the_mean_bit_for_bit(instance, data):
         if catalog.spec(a).is_async:
             per_obs = np.maximum(per_obs, columns[a])
     assert time_cost(attrs, timed) == float(np.mean(per_obs))
+
+
+def _bits(breakdown):
+    """A breakdown's floats exactly, the sign of a zero included."""
+    return [x.hex() for x in dataclasses.astuple(breakdown)]
+
+
+@SETTINGS
+@given(instances(), st.data())
+def test_the_lattice_walk_is_total_cost_bit_for_bit(instance, data):
+    """``subset_costs`` gives every subset ``total_cost``'s breakdown, field by
+    field and bit for bit, over drawn async flags, times of ``0.0``, ``-0.0``
+    and missing cells, all-zero columns and async-only subsets; without a
+    consecutive pair both end in the same ConfigError."""
+    dataset, _ = instance
+    names = dataset.catalog.names
+    catalog = AttributeCatalog(tuple(
+        dataclasses.replace(dataset.catalog.spec(a), is_async=data.draw(st.booleans()))
+        for a in names))
+    zeros = st.sampled_from([0.0, -0.0, None])
+    drawn = st.one_of(zeros, st.sampled_from([0.1, 0.2, 0.3, 1e-3]),
+                      st.floats(0, 1e4, allow_subnormal=False))
+    # A column of one zero (all -0.0, say), of mixed zeros, or of any times.
+    kinds = (st.just(data.draw(zeros)), zeros, drawn)
+    cells = {a: kinds[data.draw(st.integers(0, 2))] for a in names}
+    observations = []
+    for o in dataset.observations:
+        times = {a: data.draw(cells[a]) for a in names}
+        present = {a: t for a, t in times.items() if t is not None}
+        observations.append(Observation(o.browser_id, o.seq, o.values, present))
+    timed = Dataset(catalog, observations)
+    weights = data.draw(st.sampled_from([CostWeights(), CostWeights(1, 1, 1)]))
+    if timed.consecutive_pair_count == 0:
+        assert _outcome(subset_costs, timed, weights) == (
+            _outcome(total_cost, names, timed, weights))
+        return
+    walk = subset_costs(timed, weights)
+    assert walk.keys() == {c for size in range(len(names) + 1)
+                           for c in itertools.combinations(names, size)}
+    for subset, breakdown in walk.items():
+        assert _bits(breakdown) == _bits(total_cost(subset, timed, weights))
+
+
+def test_the_lattice_walk_is_total_cost_at_15_attributes():
+    """The walk at the default ``--max-n`` depth: all 32,768 subsets of a
+    catalog with async attributes, all-zero columns and ``-0.0`` times,
+    each equal to ``total_cost`` bit for bit."""
+    config = SynthConfig(40, 3, tuple(
+        SynthAttribute(f"a{i:02d}", cardinality=2 + i % 4, change_prob=0.1 * (i % 3),
+                       mean_collect_ms=float(i % 5), is_async=i % 4 == 1)
+        for i in range(15)))
+    synthetic = synthesize(config, 0)
+    # a05 is async, and -0.0 in every row; a00 is sync, and -0.0 in one.
+    observations = [dataclasses.replace(o, collect_ms={**o.collect_ms, "a05": -0.0})
+                    for o in synthetic.observations]
+    observations[0].collect_ms["a00"] = -0.0
+    dataset = Dataset(synthetic.catalog, observations)
+    weights = CostWeights()
+    walk = subset_costs(dataset, weights)
+    assert len(walk) == 2**15
+    for subset, breakdown in walk.items():
+        assert _bits(breakdown) == _bits(total_cost(subset, dataset, weights))
 
 
 def _outcome(run, *args, **kwargs):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fpselect.selection
+import reference
 from fpselect import (
     AttributeSpec,
     ConfigError,
@@ -432,6 +433,39 @@ class TestExhaustive:
         assert len(measured) == calls
         assert len(set(measured)) == calls
         assert result.explored_count == (1 if calls == 1 else len(order))
+
+    @pytest.mark.parametrize("example, alpha", [
+        ("population", 1.0), ("population", 0.5), ("population", 0.2),
+        ("population", 0.05), ("file", 0.9), ("file", 0.1),
+    ])
+    def test_the_lattice_is_costed_in_one_walk(
+        self, monkeypatch, dataset_with_pairs, example, alpha
+    ):
+        """``total_cost`` runs once, for the gate's full set: the oracle costs
+        every other subset in ``subset_costs``'s one pass, yet still explores
+        all 2^n and chooses what measuring every subset chooses."""
+        if example == "population":
+            dataset = dataset_with_pairs
+            attacker = population_attacker(dataset, beta=1)
+        else:
+            dataset, attacker = _non_monotone_example()
+        config = SelectionConfig(alpha=alpha)
+        expected = reference.select_exhaustive(dataset, attacker, config)
+        costed = []
+
+        def counted(attrs, *args):
+            costed.append(attrs)
+            return cost(attrs, *args)
+
+        cost = fpselect.selection.total_cost
+        monkeypatch.setattr(fpselect.selection, "total_cost", counted)
+        result = select_exhaustive(dataset, attacker, config)
+        assert costed == [dataset.catalog.names]
+        assert (result.chosen, result.breakdown, result.sensitivity) == (
+            expected.chosen, expected.breakdown, expected.sensitivity)
+        assert result.explored_count == expected.explored_count
+        if result.candidate_sensitivity <= alpha or example == "file":
+            assert result.explored_count == 2 ** len(dataset.catalog.names)
 
     def test_too_many_attributes_rejected(self):
         ds = random_synth(random.Random(0), max_attrs=6, min_attrs=5)
