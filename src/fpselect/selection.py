@@ -377,25 +377,40 @@ def select_exhaustive(
     max_attributes: int = 15,
 ) -> SelectionResult:
     """True optimum: costs all 2^n subsets (its ``explored_count``) in one
-    depth-first pass, ranks them by ``(total_points, set)``, then measures
-    sensitivity in that order up to the first set that meets alpha. Unless
-    sensitivity is monotone, a full set above alpha proves nothing."""
+    depth-first pass and chooses the first by ``(total_points, set)`` that
+    meets alpha. Unless sensitivity is monotone, it measures them in that order
+    and a full set above alpha proves nothing. If it is, a set above alpha
+    rules out its subsets: largest first, it measures only sets ranked before
+    the best so far and inside no measured failure."""
     names = dataset.catalog.names
     if len(names) > max_attributes:
         raise ConfigError(
             f"{len(names)} attributes exceed the exhaustive limit of {max_attributes}"
         )
+    monotone = non_monotone_reason(attacker, dataset) is None
+    bit = {a: 1 << i for i, a in enumerate(names)}
 
     def search(evaluator: Evaluator) -> Found:
         costs = evaluator._costs
         costs.update(subset_costs(dataset, config.weights))
-        ranked = sorted((c.total_points, combo) for combo, c in costs.items())
-        for _, combo in ranked:
-            if evaluator.evaluate(combo)[1] <= config.alpha:
-                return combo, ()
-        return None, ()
+        ranked = [combo for _, combo in
+                  sorted((c.total_points, combo) for combo, c in costs.items())]
+        order = range(len(ranked))
+        if monotone:  # largest first; the sort is stable, so rank order within a size
+            order = sorted(order, key=lambda r: -len(ranked[r]))
+        best, failed = len(ranked), []
+        for r in order:
+            if r >= best:
+                continue
+            mask = sum(bit[a] for a in ranked[r])
+            if any(mask & ~f == 0 for f in failed):
+                continue
+            if evaluator.evaluate(ranked[r])[1] <= config.alpha:
+                best = r
+            elif monotone:
+                failed.append(mask)
+        return (ranked[best] if best < len(ranked) else None), ()
 
-    monotone = non_monotone_reason(attacker, dataset) is None
     return _select("oracle", dataset, attacker, config, search, gate=monotone)
 
 

@@ -109,9 +109,9 @@ def uniform_attacker(
     entries = tuple(
         (combo, weight) for combo in itertools.product(*domains)
     )
-    return AttackerInstance(
-        pmf=Pmf(names, entries), beta=beta, knowledge="uniform"
-    )
+    attacker = AttackerInstance(pmf=Pmf(names, entries), beta=beta, knowledge="uniform")
+    vars(attacker)["product_domains"] = domains  # what the cached property derives
+    return attacker
 
 
 def attacker_from_file(

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import fpselect.dataset
@@ -201,6 +201,16 @@ def test_product_dictionary_matches_reference(instance, data):
 
 
 @SETTINGS
+@given(instances(kinds=("uniform",)))
+def test_the_uniform_attacker_comes_with_its_product_domains(instance):
+    """``uniform_attacker`` seeds ``product_domains`` with the domains it
+    builds its product from: what the property derives from the PMF."""
+    _, attacker = instance
+    assert vars(attacker)["product_domains"] == AttackerInstance(
+        attacker.pmf, attacker.beta, "uniform").product_domains
+
+
+@SETTINGS
 @given(instances(), st.data())
 def test_impersonated_users_match_reference(instance, data):
     dataset, attacker = instance
@@ -260,6 +270,7 @@ def test_evaluator_sensitivity_matches_reference(instance, data):
 
 # The package's ``sensitivity`` is the function, so fetch the module.
 SENSITIVITY = importlib.import_module("fpselect.sensitivity")
+SELECTION = importlib.import_module("fpselect.selection")
 
 
 def _in_blocks_of(guesses, patch):
@@ -486,10 +497,9 @@ def test_the_lattice_walk_is_total_cost_bit_for_bit(instance, data):
         assert _bits(breakdown) == _bits(total_cost(subset, timed, weights))
 
 
-def test_the_lattice_walk_is_total_cost_at_15_attributes():
-    """The walk at the default ``--max-n`` depth: all 32,768 subsets of a
-    catalog with async attributes, all-zero columns and ``-0.0`` times,
-    each equal to ``total_cost`` bit for bit."""
+def _fifteen_attributes():
+    """A synth catalog at the default ``--max-n`` depth, with async
+    attributes, all-zero columns and ``-0.0`` times."""
     config = SynthConfig(40, 3, tuple(
         SynthAttribute(f"a{i:02d}", cardinality=2 + i % 4, change_prob=0.1 * (i % 3),
                        mean_collect_ms=float(i % 5), is_async=i % 4 == 1)
@@ -499,12 +509,54 @@ def test_the_lattice_walk_is_total_cost_at_15_attributes():
     observations = [dataclasses.replace(o, collect_ms={**o.collect_ms, "a05": -0.0})
                     for o in synthetic.observations]
     observations[0].collect_ms["a00"] = -0.0
-    dataset = Dataset(synthetic.catalog, observations)
+    return Dataset(synthetic.catalog, observations)
+
+
+def test_the_lattice_walk_is_total_cost_at_15_attributes():
+    """The walk at the default ``--max-n`` depth: all 32,768 subsets, each
+    equal to ``total_cost`` bit for bit."""
+    dataset = _fifteen_attributes()
     weights = CostWeights()
     walk = subset_costs(dataset, weights)
     assert len(walk) == 2**15
     for subset, breakdown in walk.items():
         assert _bits(breakdown) == _bits(total_cost(subset, dataset, weights))
+
+
+def _measured_while(run, *args):
+    """The result of ``run`` and every ``(set, sensitivity)`` the selection
+    module measured during it, in order."""
+    measured = []
+    share = SELECTION.impersonated_share
+
+    def counted(attrs, *rest):
+        measured.append((attrs, share(attrs, *rest)))
+        return measured[-1][1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SELECTION, "impersonated_share", counted)
+        return run(*args), measured
+
+
+def test_the_oracle_settles_15_attributes_from_a_few_measured_sets():
+    """Against the population attacker the oracle chooses what a scan of
+    every subset in ``(total_points, set)`` order chooses, measuring 21 sets
+    where the scan measures 371, the gate's full set included."""
+    dataset = _fifteen_attributes()
+    attacker = population_attacker(dataset, beta=1)
+    config = SelectionConfig(alpha=0.025)
+    result, measured = _measured_while(select_exhaustive, dataset, attacker, config)
+    costs = subset_costs(dataset, config.weights)
+    scanned = [dataset.catalog.names]
+    for _, combo in sorted((c.total_points, combo) for combo, c in costs.items()):
+        scanned.append(combo)
+        sens = SENSITIVITY.impersonated_share(combo, attacker, dataset)
+        if sens <= config.alpha:
+            break
+    assert (result.chosen, result.breakdown, result.sensitivity) == (
+        combo, costs[combo], sens)
+    assert result.explored_count == 2**15
+    assert (len(measured), len(scanned)) == (21, 371)
 
 
 def _outcome(run, *args, **kwargs):
@@ -599,6 +651,54 @@ def test_oracle_matches_the_full_enumeration(instance, data):
     # Without consecutive observations both end in the same ConfigError.
     assert _outcome(select_exhaustive, dataset, attacker, config) == (
         _outcome(reference.select_exhaustive, dataset, attacker, config))
+
+
+def _all_exact(instance):
+    """The instance with every attribute matched as a category, so exactly;
+    population and uniform attackers are rebuilt on the new catalog."""
+    dataset, attacker = instance
+    catalog = AttributeCatalog(tuple(
+        AttributeSpec(a, "category") for a in dataset.catalog.names))
+    exact = Dataset(catalog, dataset.observations)
+    if attacker.knowledge == "population":
+        return exact, population_attacker(exact, attacker.beta)
+    if attacker.knowledge == "uniform":
+        return exact, uniform_attacker(exact, attacker.beta)
+    return exact, attacker
+
+
+@SETTINGS
+@given(instances(kinds=("population", "uniform", "product")).map(_all_exact),
+       st.data())
+def test_the_monotone_oracle_wastes_no_measurement(instance, data):
+    """Under monotone sensitivity the oracle measures each set once, largest
+    first, none inside a set it measured to fail alpha and none ranked after
+    a set it measured to meet it, and still chooses what measuring every
+    subset chooses."""
+    dataset, attacker = instance
+    assume(SENSITIVITY.non_monotone_reason(attacker, dataset) is None)
+    names = dataset.catalog.names
+    shares = {SENSITIVITY.impersonated_share(subset, attacker, dataset)
+              for size in range(len(names) + 1)
+              for subset in itertools.combinations(names, size)}
+    alphas = sorted(shares - {0} | {0.01})
+    config = SelectionConfig(alpha=data.draw(st.sampled_from(alphas)))
+    outcome, measured = _measured_while(
+        _outcome, select_exhaustive, dataset, attacker, config)
+    assert outcome == _outcome(reference.select_exhaustive, dataset, attacker, config)
+    if isinstance(outcome, tuple):  # no consecutive observations
+        return
+    sets = [combo for combo, _ in measured]
+    assert len(set(sets)) == len(sets)
+    assert sets == sorted(sets, key=lambda combo: -len(combo))
+    rank = {combo: (c.total_points, combo)
+            for combo, c in subset_costs(dataset, config.weights).items()}
+    for i, (combo, _) in enumerate(measured):
+        for earlier, sens in measured[:i]:
+            if sens > config.alpha:
+                assert not set(combo) <= set(earlier)
+            else:
+                assert rank[combo] < rank[earlier]
 
 
 @st.composite

@@ -351,6 +351,9 @@ def _non_monotone_example():
     return dataset, AttackerInstance(Pmf(("a", "b"), entries), 1, "file")
 
 
+_FULL = ("CookieEnabled", "Language", "Screen", "Timezone")
+
+
 class TestExhaustive:
     def test_vacuous_threshold_selects_the_empty_set(self, dataset_with_pairs):
         attacker = population_attacker(dataset_with_pairs, beta=1)
@@ -390,20 +393,32 @@ class TestExhaustive:
         result = select_exhaustive(dataset_with_pairs, attacker, config)
         assert result.is_no_solution
 
-    @pytest.mark.parametrize("example, alpha, calls", [
-        # The full set, which ranks last here, then up to the choice's rank.
-        ("population", 1.0, 2),  # the empty set ranks first
-        ("population", 0.5, 4),  # {Language} ranks third
-        ("population", 0.2, 11),  # {Language, Screen} ranks tenth of 16
-        ("population", 0.05, 1),  # monotone: the full set fails, so all do
-        ("file", 0.9, 3),  # {a} ranks second, tied in cost with {b}
-        ("file", 0.1, 4),  # not monotone: every set is measured, none meets
+    @pytest.mark.parametrize("example, alpha, calls, sequence", [
+        # Monotone: the full set, then the sets largest first, in rank order
+        # within a size, less those inside a measured failure or ranked after
+        # the best set so far. At most one set of each size meets alpha.
+        ("population", 1.0, 5, [_FULL, ("CookieEnabled", "Language", "Timezone"),
+                                ("Language", "Timezone"), ("Timezone",), ()]),
+        ("population", 0.5, 5, [_FULL, ("CookieEnabled", "Language", "Timezone"),
+                                ("Language", "Timezone"), ("Timezone",),
+                                ("Language",)]),
+        ("population", 0.2, 5, [_FULL, ("CookieEnabled", "Language", "Timezone"),
+                                ("Language", "Screen", "Timezone"),
+                                ("Screen", "Timezone"), ("Language", "Screen")]),
+        ("population", 0.05, 1, None),  # monotone: the full set fails, so all do
+        # Not monotone: the full set, which ranks last here, then each set in
+        # rank order up to the choice.
+        ("file", 0.9, 3, None),  # {a} ranks second, tied in cost with {b}
+        ("file", 0.1, 4, None),  # every set is measured, none meets
     ])
     def test_sensitivity_is_measured_only_up_to_the_choice(
-        self, monkeypatch, dataset_with_pairs, example, alpha, calls
+        self, monkeypatch, dataset_with_pairs, example, alpha, calls, sequence
     ):
-        """The oracle measures the full set, then each set in order of
-        ``(total_points, set)`` up to the first that meets alpha."""
+        """The oracle measures the full set first. Under a monotone attacker
+        it then measures, largest first, only the sets that rank before its
+        best so far by ``(total_points, set)`` and lie inside no measured
+        failure. Otherwise it measures each set in rank order up to the first
+        that meets alpha."""
         if example == "population":
             dataset = dataset_with_pairs
             attacker = population_attacker(dataset, beta=1)
@@ -425,7 +440,10 @@ class TestExhaustive:
             for size in range(len(names) + 1)
             for combo in itertools.combinations(names, size))
         order = [combo for _, combo in ranked]
-        if result.chosen is None:
+        if sequence is not None:
+            assert measured == sequence
+            assert result.chosen == sequence[-1]
+        elif result.chosen is None:
             assert len(measured) == (1 if example == "population" else len(order))
         else:
             rank = order.index(result.chosen) + 1
