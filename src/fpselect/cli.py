@@ -104,9 +104,13 @@ class RunConfig:
 
 
 def _require_inputs(dataset: str, catalog: str) -> None:
+    """Both paths are set, and UTF-8 text, since reports echo them: a lone
+    surrogate is how a name's bytes that are not UTF-8 reach ``str``."""
     for label, value in (("dataset", dataset), ("catalog", catalog)):
         if not value:
             raise ConfigError(f"missing {label} path")
+        if any("\ud800" <= c <= "\udfff" for c in value):
+            raise ConfigError(f"{label} path {value!r} is not UTF-8 text")
 
 
 def _progress(message: str) -> None:

@@ -211,12 +211,12 @@ def _has_subset(subset: AttrSet, pool: list[AttrSet]) -> bool:
 
 
 class Evaluator:
-    """Caches cost, and (cost, sensitivity), per attribute set for one run.
+    """Records one run's measures once per set, each in its own table.
 
-    Both measures are pure given the dataset and attacker, so the caches
+    ``costs`` maps every costed canonical set to its ``CostBreakdown``, so
+    its size is ``explored_count``; the oracle costs sets it never measures.
+    Both measures are pure given the dataset and attacker, so the tables
     never change results; they only keep repeated lattice visits cheap.
-    The number of costed sets is the number of explored sets. The oracle
-    fills the cost cache with its whole lattice from ``subset_costs``.
     """
 
     def __init__(
@@ -225,27 +225,20 @@ class Evaluator:
         self.dataset = dataset
         self.attacker = attacker
         self.weights = weights
-        self._costs: dict[AttrSet, CostBreakdown] = {}
-        self._cache: dict[AttrSet, tuple[CostBreakdown, float]] = {}
+        self.costs: dict[AttrSet, CostBreakdown] = {}
+        self._shares: dict[AttrSet, float] = {}  # sensitivity, the impersonated share
 
     def evaluate(self, attrs: Iterable[str]) -> tuple[CostBreakdown, float]:
         key = self.dataset.catalog.canonical(attrs)
-        hit = self._cache.get(key)
-        if hit is None:
-            cost = self._costs.get(key)
-            if cost is None:
-                cost = self._costs[key] = total_cost(key, self.dataset, self.weights)
-            hit = self._cache[key] = (
-                cost, impersonated_share(key, self.attacker, self.dataset))
-        return hit
+        if key not in self.costs:
+            self.costs[key] = total_cost(key, self.dataset, self.weights)
+        if key not in self._shares:
+            self._shares[key] = impersonated_share(key, self.attacker, self.dataset)
+        return self.costs[key], self._shares[key]
 
     def totals(self, attrs: AttrSet) -> tuple[float, float]:
         breakdown, sens = self.evaluate(attrs)
         return breakdown.total_points, sens
-
-    @property
-    def measured_count(self) -> int:
-        return len(self._costs)
 
 
 # What a method's own search found: a canonical set, or None, and its trace.
@@ -274,7 +267,7 @@ def _select(
         breakdown=breakdown,
         sensitivity=sens,
         candidate_sensitivity=candidate_sensitivity,
-        explored_count=evaluator.measured_count,
+        explored_count=len(evaluator.costs),
         trace=trace,
     )
 
@@ -376,12 +369,13 @@ def select_exhaustive(
     config: SelectionConfig,
     max_attributes: int = 15,
 ) -> SelectionResult:
-    """True optimum: costs all 2^n subsets (its ``explored_count``) in one
-    depth-first pass and chooses the first by ``(total_points, set)`` that
-    meets alpha. Unless sensitivity is monotone, it measures them in that order
-    and a full set above alpha proves nothing. If it is, a set above alpha
-    rules out its subsets: largest first, it measures only sets ranked before
-    the best so far and inside no measured failure."""
+    """True optimum: adds all 2^n subsets, costed in one depth-first pass, to
+    ``evaluator.costs`` (so 2^n is its ``explored_count``) and chooses the
+    first by ``(total_points, set)`` that meets alpha. Unless sensitivity is
+    monotone, it measures them in that order and a full set above alpha
+    proves nothing. If it is, a set above alpha rules out its subsets:
+    largest first, it measures only sets ranked before the best so far and
+    inside no measured failure."""
     names = dataset.catalog.names
     if len(names) > max_attributes:
         raise ConfigError(
@@ -391,10 +385,9 @@ def select_exhaustive(
     bit = {a: 1 << i for i, a in enumerate(names)}
 
     def search(evaluator: Evaluator) -> Found:
-        costs = evaluator._costs
+        costs = evaluator.costs
         costs.update(subset_costs(dataset, config.weights))
-        ranked = [combo for _, combo in
-                  sorted((c.total_points, combo) for combo, c in costs.items())]
+        ranked = sorted(costs, key=lambda combo: (costs[combo].total_points, combo))
         order = range(len(ranked))
         if monotone:  # largest first; the sort is stable, so rank order within a size
             order = sorted(order, key=lambda r: -len(ranked[r]))

@@ -1074,6 +1074,36 @@ def test_a_path_no_file_can_have_is_refused_before_any_input_is_read(
     assert err == f"fpselect: invalid configuration: {option}: {bad!r} cannot name a file\n"
 
 
+@pytest.mark.parametrize("source", ["flag", "environment", "run config"])
+@pytest.mark.parametrize("label", ["dataset", "catalog"])
+def test_an_input_path_that_is_not_utf8_is_refused_whatever_names_it(
+    tmp_path, table1_paths, monkeypatch, capsys, label, source
+):
+    """Reports echo the dataset and catalog paths. A file whose name holds
+    byte 0xff exists, but its path reaches ``str`` with a lone surrogate that
+    no UTF-8 report can hold, so it is refused before any input is read."""
+    paths = dict(zip(("dataset", "catalog"), map(str, table1_paths)))
+    bad = tmp_path / os.fsdecode(b"\xff" + label.encode())
+    bad.write_bytes(Path(paths[label]).read_bytes())
+    paths[label] = str(bad)
+    out = tmp_path / "report.json"
+    argv = ["evaluate", "--attrs", "Screen", "--alpha", "0.2", "--out", str(out)]
+    if source == "flag":
+        argv += ["--dataset", paths["dataset"], "--catalog", paths["catalog"]]
+    elif source == "environment":
+        monkeypatch.setenv("FPSELECT_DATASET", paths["dataset"])
+        monkeypatch.setenv("FPSELECT_CATALOG", paths["catalog"])
+    else:
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(paths))
+        argv += ["--config", str(config)]
+    capsys.readouterr()
+    assert main(argv) == EXIT_BAD_CONFIG
+    assert capsys.readouterr().err == (f"fpselect: invalid configuration: {label}"
+                                       f" path {str(bad)!r} is not UTF-8 text\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("where", ["directory", "missing directory"])
 @pytest.mark.parametrize("flag", ["--out", "--trace-csv", "--stats-out", "--stats-csv",
                                   "--write-catalog", "synth --out", "--catalog-out",

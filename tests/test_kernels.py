@@ -45,7 +45,10 @@ from fpselect import (
     pmf,
     population_attacker,
     project,
+    select_cond_entropy_baseline,
+    select_entropy_baseline,
     select_exhaustive,
+    select_greedy,
     time_cost,
     total_cost,
     uniform_attacker,
@@ -699,6 +702,58 @@ def test_the_monotone_oracle_wastes_no_measurement(instance, data):
                 assert not set(combo) <= set(earlier)
             else:
                 assert rank[combo] < rank[earlier]
+
+
+@SETTINGS
+@given(instances(), st.data())
+def test_every_search_costs_and_measures_each_set_once(instance, data):
+    """Greedy, both baselines and the oracle cost no set twice and measure no
+    set twice, and ``explored_count`` is the number of distinct sets costed,
+    the oracle's walk of every subset included. Greedy and the baselines
+    measure every set they cost; the oracle measures only some."""
+    dataset, attacker = instance
+    names = dataset.catalog.names
+    shares = {SENSITIVITY.impersonated_share(subset, attacker, dataset)
+              for size in range(len(names) + 1)
+              for subset in itertools.combinations(names, size)}
+    config = SelectionConfig(
+        alpha=data.draw(st.sampled_from(sorted(shares - {0} | {0.01}))),
+        k=data.draw(st.integers(1, 3)))
+    cost, share, walk = (SELECTION.total_cost, SELECTION.impersonated_share,
+                         SELECTION.subset_costs)
+    for select in (select_greedy, select_entropy_baseline,
+                   select_cond_entropy_baseline, select_exhaustive):
+        costed, measured, walked = [], [], set()
+
+        def counted_cost(attrs, *rest):
+            costed.append(attrs)
+            return cost(attrs, *rest)
+
+        def counted_share(attrs, *rest):
+            measured.append(attrs)
+            return share(attrs, *rest)
+
+        def counted_walk(*args):
+            found = walk(*args)
+            walked.update(found)
+            return found
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(SELECTION, "total_cost", counted_cost)
+            patch.setattr(SELECTION, "impersonated_share", counted_share)
+            patch.setattr(SELECTION, "subset_costs", counted_walk)
+            result = _outcome(select, dataset, attacker, config)
+        if isinstance(result, tuple):  # no consecutive observations
+            continue
+        assert len(set(costed)) == len(costed)
+        assert len(set(measured)) == len(measured)
+        explored = {*costed, *walked}
+        assert result.explored_count == len(explored)
+        assert set(measured) <= explored
+        if select is select_exhaustive:  # walks no subset when the gate stops it
+            assert len(walked) in (0, 2 ** len(names))
+        else:
+            assert set(measured) == set(costed) and not walked
 
 
 @st.composite
