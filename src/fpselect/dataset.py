@@ -18,7 +18,7 @@ import re
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, product, repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -47,7 +47,9 @@ class Observation:
 
 @dataclass(frozen=True)
 class Pmf:
-    """Probability mass function over value tuples of an attribute set."""
+    """Probability mass function over value tuples of an attribute set.
+
+    ``_uniform`` holds a uniform product as its domains until ``entries`` is read."""
 
     attrs: tuple[str, ...]
     entries: tuple[tuple[ValueTuple, float], ...]
@@ -66,6 +68,21 @@ class Pmf:
             total += prob
         if abs(total - 1.0) > 1e-9:
             raise SchemaError(f"PMF probabilities sum to {total!r}, expected 1")
+
+    @classmethod
+    def _uniform(cls, attrs: tuple[str, ...], domains: list[list[str]]) -> Pmf:
+        pmf = object.__new__(cls)
+        vars(pmf).update(attrs=attrs, _domains=domains)
+        return pmf
+
+    def __getattr__(self, name: str):  # only for an attribute not set yet
+        domains = vars(self).get("_domains")
+        if name != "entries" or domains is None:
+            return object.__getattribute__(self, name)  # the usual AttributeError
+        weight = 1.0 / math.prod(map(len, domains))
+        vars(self)["entries"] = tuple((combo, weight) for combo in product(*domains))
+        self.__post_init__()
+        return self.entries
 
     def as_dict(self) -> dict[ValueTuple, float]:
         return dict(self.entries)

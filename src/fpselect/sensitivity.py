@@ -93,8 +93,8 @@ def uniform_attacker(
     """The weakest attacker: uniform over the observed value domains.
 
     The support is the Cartesian product of each attribute's observed
-    values, which grows multiplicatively; ``max_support`` guards against
-    accidental blow-ups.
+    values, held as those domains until ``pmf.entries`` is read; no measure
+    reads it. ``max_support`` bounds that enumeration and any dictionary.
     """
     names, stored = dataset.catalog.names, dataset.stored_codes
     # Codes follow str order, so the codes in use list the values sorted.
@@ -105,11 +105,7 @@ def uniform_attacker(
         raise ConfigError(
             f"uniform attacker support exceeds {max_support} fingerprints"
         )
-    weight = 1.0 / size
-    entries = tuple(
-        (combo, weight) for combo in itertools.product(*domains)
-    )
-    attacker = AttackerInstance(pmf=Pmf(names, entries), beta=beta, knowledge="uniform")
+    attacker = AttackerInstance(Pmf._uniform(names, domains), beta, knowledge="uniform")
     vars(attacker)["product_domains"] = domains  # what the cached property derives
     return attacker
 
@@ -167,9 +163,11 @@ def build_dictionary(attacker: AttackerInstance, attrs: Iterable[str]) -> Dictio
         size = math.prod(map(len, projected))
         top = tuple(itertools.islice(itertools.product(*projected),
                                      min(attacker.beta, size)))
-        # Each group's m equal weights, added one by one as bincount does.
-        m = len(attacker.pmf.entries) // size
-        mass = np.full(m, attacker.pmf.entries[0][1]).cumsum()[-1].item()
+        # Each group's m equal weights, added one by one as bincount does. A
+        # PMF file keeps its own p; a product not yet enumerated weighs 1/|product|.
+        total, pmf = math.prod(map(len, domains)), attacker.pmf
+        p = pmf.entries[0][1] if "entries" in vars(pmf) else 1.0 / total
+        mass = np.full(total // size, p).cumsum()[-1].item()
         return Dictionary(attrs=target, entries=top, probabilities=(mass,) * len(top))
     coded, probabilities = attacker.coded
     _, first, groups = np.unique(

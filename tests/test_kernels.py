@@ -214,6 +214,36 @@ def test_the_uniform_attacker_comes_with_its_product_domains(instance):
 
 
 @SETTINGS
+@given(instances(kinds=("uniform",)))
+def test_the_uniform_pmf_is_the_eager_pmf_of_its_product(instance):
+    """``uniform_attacker`` holds its product as domains, and its PMF is, on
+    first read, the eager ``Pmf`` of the whole product: the same entries with
+    every float bit for bit, equal both ways, of one hash, repr and class,
+    whichever of these reads the entries first."""
+    dataset, attacker = instance
+    names = dataset.catalog.names
+    domains = [sorted(set(column)) for column in zip(*dataset.user_mapping.values())]
+    support = list(itertools.product(*domains))
+    entries = tuple((combo, 1.0 / len(support)) for combo in support)
+    eager = Pmf(names, entries)
+
+    def fresh():
+        lazy = uniform_attacker(dataset, attacker.beta)
+        assert "entries" not in vars(lazy.pmf)
+        return lazy
+
+    read = fresh().pmf.entries
+    assert read == entries
+    assert [p.hex() for _, p in read] == [p.hex() for _, p in entries]
+    assert fresh().pmf == eager and eager == fresh().pmf
+    assert hash(fresh().pmf) == hash(eager) and repr(fresh().pmf) == repr(eager)
+    assert type(fresh().pmf) is Pmf
+    assert fresh() == AttackerInstance(eager, attacker.beta, "uniform")
+    assert AttackerInstance(eager, attacker.beta, "uniform") == fresh()
+    assert hash(fresh()) == hash(AttackerInstance(eager, attacker.beta, "uniform"))
+
+
+@SETTINGS
 @given(instances(), st.data())
 def test_impersonated_users_match_reference(instance, data):
     dataset, attacker = instance

@@ -37,6 +37,7 @@ from fpselect.sensitivity import (
 )
 from fpselect.synth import SynthAttribute, SynthConfig, synthesize
 
+import reference
 from conftest import make_dataset, table1_dataset
 
 
@@ -143,6 +144,21 @@ class TestBuildDictionary:
         attacker = population_attacker(dataset, beta=1)
         with pytest.raises((ConfigError, SchemaError)):
             build_dictionary(attacker, ("Ghost",))
+
+    def test_a_file_uniform_over_a_full_product_keeps_its_own_mass(self):
+        """A PMF file over a full product takes the product branch, whose
+        mass is the file's ``p`` summed per group, not ``1 / 3``."""
+        p = 0.33333333333
+        assert p != 1 / 3
+        entries = tuple(((v, "k"), p) for v in ("x", "y", "z"))
+        for beta in (1, 2, 3, 4):
+            attacker = AttackerInstance(Pmf(("a", "b"), entries), beta, "file")
+            assert attacker.product_domains == [["x", "y", "z"], ["k"]]
+            for attrs in ((), ("a",), ("b",), ("a", "b")):
+                assert build_dictionary(attacker, attrs) == (
+                    reference.build_dictionary(attacker, attrs))
+            assert build_dictionary(attacker, ("a",)).probabilities[0] == p
+            assert "coded" not in vars(attacker)
 
 
 class TestImpersonatedUsers:
@@ -363,6 +379,51 @@ class TestUniformAttacker:
         attacker = uniform_attacker(dataset, beta=2)
         d = build_dictionary(attacker, ("Language",))
         assert d.entries == (("en",), ("fr",))
+
+    def test_a_support_equal_to_max_support_is_accepted(self, dataset):
+        assert uniform_attacker(dataset, beta=1, max_support=24).product_domains
+        with pytest.raises(ConfigError) as refused:
+            uniform_attacker(dataset, beta=1, max_support=23)
+        assert str(refused.value) == "uniform attacker support exceeds 23 fingerprints"
+
+    def test_the_measures_never_enumerate_the_product(self):
+        """Every measure reads the product's domains and the stored codes,
+        never ``pmf.entries``."""
+        dataset = table1_dataset(repeats=2)
+        attacker = uniform_attacker(dataset, beta=2)
+        names = dataset.catalog.names
+        for size in range(len(names) + 1):
+            for canon in itertools.combinations(names, size):
+                impersonated_share(canon, attacker, dataset)
+                impersonated_mask(canon, attacker, dataset)
+        assert non_monotone_reason(attacker, dataset) is None
+        config = SelectionConfig(alpha=0.4, k=2)
+        select_greedy(dataset, attacker, config)
+        select_exhaustive(dataset, attacker, config)
+        assert "entries" not in vars(attacker.pmf)
+
+    def test_a_large_product_is_held_as_its_domains(self):
+        # Five columns of 10, 10, 10, 10 and 19 values over 3,000 browsers:
+        # a support of 190,000, whose tuples would keep about 26 MB.
+        cardinalities = (10, 10, 10, 10, 19)
+        names = tuple(f"a{k}" for k in range(len(cardinalities)))
+        catalog = AttributeCatalog(tuple(AttributeSpec(n, "category") for n in names))
+        dataset = Dataset(catalog, tuple(
+            Observation(f"u{i}", 0,
+                        {n: str(i % c) for n, c in zip(names, cardinalities)}, {})
+            for i in range(3000)))
+        dataset.stored_codes  # the dataset's own cost, outside the measurement
+        tracemalloc.start()
+        try:
+            attacker = uniform_attacker(dataset, beta=512)
+            dictionary = build_dictionary(attacker, names)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 1 << 20, kept
+        assert len(dictionary.entries) == 512
+        assert dictionary.probabilities[0] == 1.0 / 190_000
+        assert "entries" not in vars(attacker.pmf)
 
 
 class TestAttackerFromFile:
