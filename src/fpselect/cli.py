@@ -446,10 +446,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cal = sub.add_parser("calibrate", help="learn matching thresholds")
     _add_path_flags(p_cal)
-    p_cal.add_argument("--windows", type=int, default=6)
-    p_cal.add_argument("--seed", type=int, default=0)
-    p_cal.add_argument("--negative-cap", dest="negative_cap", type=int,
-                       default=1000)
+    p_cal.add_argument("--windows", type=int, default=6,
+                       help="browser samples to average over (default: 6, at least 1)")
+    p_cal.add_argument("--seed", type=int, default=0,
+                       help="seed of the cross-browser pair draws (default: 0)")
+    p_cal.add_argument("--negative-cap", type=int, default=1000, help="cap on the"
+                       " cross-browser pairs per window (default: 1000, at least 1)")
     p_cal.add_argument("--write-catalog", dest="write_catalog",
                        help="write a catalog with calibrated thresholds here")
     p_cal.set_defaults(handler=_cmd_calibrate)

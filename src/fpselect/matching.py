@@ -16,8 +16,8 @@ import random
 import statistics
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import pairwise
-from typing import Callable, Iterable, Sequence
+from itertools import islice, pairwise
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .catalog import AttributeCatalog, AttributeSpec
 from .dataset import Dataset
@@ -246,17 +246,18 @@ def calibrate_thresholds(
     Browsers are split round-robin into ``windows`` samples. Within each
     window the positive class holds distances between consecutive
     fingerprints of the same browser, the negative class distances between
-    randomly paired observations of different browsers (capped at
-    ``negative_cap`` >= 1 per window). The pairs are the stream of
-    ``random.sample`` of two browsers and a ``random.choice`` of each one's
-    rows, on an RNG seeded per (seed, window, attribute); they are drawn
-    straight from ``getrandbits``, so reports stay byte-identical to those
-    calls. Per-window thresholds are max-margin separators; the final
-    threshold is their mean.
+    randomly paired observations of different browsers (``_negative_rows``
+    on an RNG seeded per (seed, window, attribute), capped at
+    ``negative_cap`` >= 1 per window). Per-window thresholds are max-margin
+    separators; the final threshold is their mean. Category and dynamic
+    distances are 0 or 1: 0.0 with no 1, else 0.5 when no more positives
+    than negatives are 1, else 1.0. Their draws stop once that is sure; each
+    attribute has its own RNG, so reports stay byte-identical.
     """
     check_calibration_counts(windows, negative_cap)
     catalog, coded = dataset.catalog, dataset.codes
     members = dataset.browser_rows
+    columns = coded.matrix.T.tolist()
     measures = [_pair_distances(attr, list(lookup))
                 for attr, lookup in zip(catalog.attributes, coded.lookup)]
 
@@ -273,15 +274,18 @@ def calibrate_thresholds(
         table = _draw_table(members[b] for b in browsers)
         count = min(len(pairs), negative_cap)
         earlier, later = coded.matrix[list(zip(*pairs))]
+        changes = (earlier != later).sum(axis=0).tolist()
         for j, (attr, measure) in enumerate(zip(catalog.attributes, measures)):
-            column = coded.matrix[:, j]
-            positives = measure(earlier[:, j], later[:, j])
-            firsts, seconds = _negative_rows(
-                _derived_rng(seed, w, attr.name), table, count)
-            negatives = measure(column[firsts], column[seconds])
-            window_thresholds[attr.name].append(
-                max_margin_threshold(positives, negatives)
-            )
+            column, rng = columns[j], _derived_rng(seed, w, attr.name)
+            draws = islice(_negative_rows(rng, table), count)
+            if measure is None:
+                threshold = _kronecker_threshold(
+                    changes[j], (column[x] != column[y] for x, y in draws))
+            else:
+                positives = [measure(column[x], column[y]) for x, y in pairs]
+                negatives = [measure(column[x], column[y]) for x, y in draws]
+                threshold = max_margin_threshold(positives, negatives)
+            window_thresholds[attr.name].append(threshold)
 
     averages = {
         name: statistics.fmean(values)
@@ -296,6 +300,12 @@ def calibrate_thresholds(
     )
 
 
+def _kronecker_threshold(changed: int, differs: Iterable[bool]) -> float:
+    """``max_margin_threshold`` of 0/1 distances, read until 0.5 is sure."""
+    differ = sum(islice(filter(None, differs), max(changed, 1)))
+    return 0.0 if changed == differ == 0 else 0.5 if changed <= differ else 1.0
+
+
 def _draw_table(
     rows_of: Iterable[Sequence[int]],
 ) -> list[tuple[Sequence[int], int, int]]:
@@ -307,9 +317,8 @@ def _draw_table(
 def _negative_rows(
     rng: random.Random,
     table: Sequence[tuple[Sequence[int], int, int]],
-    count: int,
-) -> tuple[list[int], list[int]]:
-    """Rows of ``count`` cross-browser pairs, the draws of
+) -> Iterator[tuple[int, int]]:
+    """Rows of cross-browser pairs, without end: each pair is the draws of
     ``rng.sample(browsers, 2)`` and one ``rng.choice`` from each browser's
     rows, made straight from ``rng.getrandbits``; ``table`` is
     ``_draw_table`` of the browsers' rows.
@@ -318,13 +327,13 @@ def _negative_rows(
     ``n.bit_length()`` bits, redrawn until below ``n``. For two picks,
     ``sample`` draws from a shrinking pool while ``n <= 21`` (a second
     index equal to the first stands for the pool's last) and above that
-    redraws the second until it differs from the first.
+    redraws the second until it differs from the first. Each pair is yielded
+    after its last draw, so any ``k`` pairs read draw what ``k`` rounds do.
     """
     getrandbits = rng.getrandbits
     n = len(table)
     bits, pool_bits = n.bit_length(), (n - 1).bit_length()
-    firsts, seconds = [], []
-    for _ in range(count):
+    while True:
         a = getrandbits(bits)
         while a >= n:
             a = getrandbits(bits)
@@ -342,27 +351,26 @@ def _negative_rows(
         r = getrandbits(k)
         while r >= m:
             r = getrandbits(k)
-        firsts.append(rows[r])
+        first = rows[r]
         rows, m, k = table[b]
         r = getrandbits(k)
         while r >= m:
             r = getrandbits(k)
-        seconds.append(rows[r])
-    return firsts, seconds
+        yield first, rows[r]
 
 
-def _pair_distances(attr: AttributeSpec, values: Sequence[str]) -> Callable:
-    """A function from two code arrays of ``attr`` to their values' distances.
-
-    Codes are equal exactly when values are, so category and dynamic
-    distances compare the code arrays. Every other distance is symmetric,
-    so it calls ``distance`` once per distinct unordered pair of codes, in
-    first-seen order with the values in the drawn order: the first
-    malformed value fails as without a memo.
+def _pair_distances(attr: AttributeSpec, values: Sequence[str]) -> Callable | None:
+    """The memoised distance of two codes of ``attr``; None for category and
+    dynamic attributes, whose codes are equal exactly when values are, so
+    counting unequal codes until the threshold is sure gives the threshold
+    their distances would (``_kronecker_threshold``). Every other distance
+    is symmetric, so this calls ``distance`` once per distinct unordered
+    pair of codes, in first-seen order with the values in the drawn order:
+    the first malformed value fails as without a memo.
     """
     kind = distance_kind_for(attr)
     if kind is DistanceKind.KRONECKER_COMPLEMENT:
-        return lambda xs, ys: (xs != ys).astype(float).tolist()
+        return None
     memo: dict[tuple[int, int], float] = {}
 
     def pair(x: int, y: int) -> float:
@@ -374,4 +382,4 @@ def _pair_distances(attr: AttributeSpec, values: Sequence[str]) -> Callable:
                 raise SchemaError(f"attribute {attr.name!r}: {exc}") from None
         return memo[key]
 
-    return lambda xs, ys: list(map(pair, xs.tolist(), ys.tolist()))
+    return pair

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import fpselect.dataset
@@ -57,10 +57,8 @@ from fpselect.cost import subset_costs
 from fpselect.dataset import encode_rows, load_observations
 from fpselect.matching import (
     _draw_table,
+    _kronecker_threshold,
     _negative_rows,
-    _pair_distances,
-    distance,
-    distance_kind_for,
     edit_distance,
     max_margin_threshold,
 )
@@ -1035,21 +1033,25 @@ def test_calibration_matches_reference_on_both_sample_paths(browsers, windows):
 def test_negative_rows_are_the_stdlib_draws(n):
     """The rows ``rng.sample(browsers, 2)`` and two ``rng.choice`` calls
     pick, and the generator's state after them: a change to either in the
-    standard library shows here."""
+    standard library shows here. Reading 1, 7 or 200 pairs leaves the
+    generator where as many rounds of those calls do, on the pool path
+    (n <= 21) and the set path alike, so ``islice`` never pulls an extra
+    pair and an attribute that stops early draws a prefix of the stream."""
     shapes = random.Random(n)
     for w, step in ((0, 1), (n % 3, 3)):
         browsers = range(w, w + step * n, step)
         members = [[shapes.randrange(10**6) for _ in range(shapes.randint(1, 5))]
                    for _ in range(browsers[-1] + 1)]
-        fast, stdlib = random.Random(n + w), random.Random(n + w)
-        firsts, seconds = [], []
-        for _ in range(200):
-            first, second = stdlib.sample(browsers, 2)
-            firsts.append(stdlib.choice(members[first]))
-            seconds.append(stdlib.choice(members[second]))
         table = _draw_table(members[b] for b in browsers)
-        assert _negative_rows(fast, table, 200) == (firsts, seconds)
-        assert fast.getstate() == stdlib.getstate()
+        for count in (1, 7, 200):
+            fast, stdlib = random.Random(n + w), random.Random(n + w)
+            rows = []
+            for _ in range(count):
+                first, second = stdlib.sample(browsers, 2)
+                rows.append((stdlib.choice(members[first]),
+                             stdlib.choice(members[second])))
+            assert list(itertools.islice(_negative_rows(fast, table), count)) == rows
+            assert fast.getstate() == stdlib.getstate()
 
 
 # Distances as the measures give them: non-negative and often tied, up to
@@ -1063,6 +1065,32 @@ DISTANCES = st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0])
 def test_max_margin_threshold_matches_reference(positives, negatives):
     assert max_margin_threshold(positives, negatives) == (
         reference.max_margin_threshold(positives, negatives))
+
+
+ZERO_ONE = st.lists(st.sampled_from([0.0, 1.0]), min_size=1, max_size=30)
+
+
+@SETTINGS
+@given(ZERO_ONE, ZERO_ONE)
+@example([0.0], [0.0])
+@example([0.0, 0.0], [1.0, 1.0, 1.0])
+@example([1.0, 1.0], [0.0, 0.0])
+@example([1.0], [1.0])
+@example([1.0, 1.0, 1.0], [1.0, 1.0])
+@example([1.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0])
+def test_kronecker_threshold_is_the_max_margin_threshold(positives, negatives):
+    """Category and dynamic distances are 0 or 1, and two counts give their
+    separator: 0.0 when no distance is 1, else 0.5 when at most as many
+    positives as negatives are 1, else 1.0. The negatives are read only up
+    to the ``max(changed, 1)``-th that is 1, after which 0.5 is sure."""
+    expected = max_margin_threshold(positives, negatives)
+    assert expected == reference.max_margin_threshold(positives, negatives)
+    changed = positives.count(1.0)
+    differs = iter([d == 1.0 for d in negatives])
+    assert _kronecker_threshold(changed, differs) == expected
+    read = len(negatives) - len(list(differs))
+    assert negatives[:read].count(1.0) == min(negatives.count(1.0), max(changed, 1))
+    assert read == len(negatives) or negatives[read - 1] == 1.0
 
 
 # Characters from the three ranges a string can hold: ASCII, the rest of
@@ -1120,20 +1148,31 @@ def test_edit_distance_matches_the_table(pair):
     assert edit_distance(x, y) == reference.edit_distance(x, y)
 
 
-@pytest.mark.parametrize("kind", ["category", "dynamic"])
-def test_kronecker_pair_distances_compare_codes(kind):
-    # Values that differ only by a NUL or case, in code order, and code
-    # arrays as a dataset's column holds them.
+@pytest.mark.parametrize("browsers", [21, 22, 67])
+def test_exact_match_calibration_counts_unequal_codes(browsers):
+    """Category and dynamic thresholds come from counts of unequal codes
+    over a prefix of the draws, and must be the reference's, which compares
+    values over every draw. The values differ only by a NUL or by case.
+    ``same`` never changes (0.0); ``flip`` changes at every step between two
+    values (1.0); ``rare`` changes in one browser of seven and ``kept``
+    never within a browser (0.5, after as many unequal draws as changes,
+    or one). Two windows of 21 browsers draw from a pool, of more from a
+    set."""
     values = ("", "A", "a", "a\x00", "é")
-    rng = random.Random(7)
-    xs, ys = (np.array([rng.randrange(len(values)) for _ in range(60)], dtype=np.int64)
-              for _ in range(2))
-    spec = AttributeSpec("x", kind)
-    got = _pair_distances(spec, list(values))(xs, ys)
-    assert got == [distance(distance_kind_for(spec), values[x], values[y])
-                   for x, y in zip(xs.tolist(), ys.tolist())]
-    assert {type(d) for d in got} == {float}
-    assert 0.0 in got and 1.0 in got
+    catalog = AttributeCatalog((
+        AttributeSpec("flip", "dynamic"), AttributeSpec("kept", "dynamic"),
+        AttributeSpec("rare", "category"), AttributeSpec("same", "category"),
+    ))
+    dataset = Dataset(catalog, tuple(
+        Observation(f"b{i:03d}", seq, {
+            "flip": values[1 + (i + seq) % 2], "kept": values[i % 5],
+            "rare": values[(i + (seq == 2 and i % 7 == 0)) % 5], "same": "a\x00",
+        }, {})
+        for i in range(2 * browsers) for seq in range(3)))
+    got = calibrate_thresholds(dataset, 2, seed=browsers)
+    assert got == reference.calibrate_thresholds(dataset, 2, seed=browsers)
+    assert got.window_thresholds == {"flip": (1.0, 1.0), "kept": (0.5, 0.5),
+                                     "rare": (0.5, 0.5), "same": (0.0, 0.0)}
 
 
 def _wide_rows():
