@@ -28,6 +28,7 @@ from .catalog import AttributeCatalog, as_int, load_catalog
 from .errors import SchemaError
 
 ValueTuple = tuple[str, ...]
+UniformProduct = tuple[list[list[str]], float]  # sorted column values, one probability
 _decode = json.JSONDecoder().raw_decode  # json.loads less its whitespace checks
 
 
@@ -49,7 +50,8 @@ class Observation:
 class Pmf:
     """Probability mass function over value tuples of an attribute set.
 
-    ``_uniform`` holds a uniform product as its domains until ``entries`` is read."""
+    It caches ``uniform_product`` and ``coded``. A ``_uniform`` PMF is given its
+    product and enumerates it only when ``entries`` is read."""
 
     attrs: tuple[str, ...]
     entries: tuple[tuple[ValueTuple, float], ...]
@@ -70,19 +72,36 @@ class Pmf:
             raise SchemaError(f"PMF probabilities sum to {total!r}, expected 1")
 
     @classmethod
-    def _uniform(cls, attrs: tuple[str, ...], domains: list[list[str]]) -> Pmf:
+    def _uniform(cls, attrs: tuple[str, ...], uniform: UniformProduct) -> Pmf:
         pmf = object.__new__(cls)
-        vars(pmf).update(attrs=attrs, _domains=domains)
+        vars(pmf).update(attrs=attrs, uniform_product=uniform)
         return pmf
 
     def __getattr__(self, name: str):  # only for an attribute not set yet
-        domains = vars(self).get("_domains")
-        if name != "entries" or domains is None:
+        uniform = vars(self).get("uniform_product")
+        if name != "entries" or uniform is None:
             return object.__getattribute__(self, name)  # the usual AttributeError
-        weight = 1.0 / math.prod(map(len, domains))
-        vars(self)["entries"] = tuple((combo, weight) for combo in product(*domains))
+        vars(self)["entries"] = tuple(zip(product(*uniform[0]), repeat(uniform[1])))
         self.__post_init__()
         return self.entries
+
+    @cached_property
+    def uniform_product(self) -> UniformProduct | None:
+        """Each column's sorted values and the one probability, if the PMF is
+        uniform over their whole product (entries are distinct: a count tells)."""
+        entries = self.entries
+        if any(p != entries[0][1] for _, p in entries):
+            return None
+        domains = [sorted(set(column)) for column in zip(*(v for v, _ in entries))]
+        full = math.prod(map(len, domains)) == len(entries)
+        return (domains, entries[0][1]) if full else None
+
+    @cached_property
+    def coded(self) -> tuple[CodedRows, np.ndarray]:
+        """The value tuples as integer codes, and their probabilities."""
+        entries = self.entries
+        probabilities = np.fromiter((p for _, p in entries), float, len(entries))
+        return encode_rows([v for v, _ in entries], len(self.attrs)), probabilities
 
     def as_dict(self) -> dict[ValueTuple, float]:
         return dict(self.entries)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -41,7 +40,8 @@ _BLOCK_CELLS = 1 << 20
 
 @dataclass(frozen=True)
 class AttackerInstance:
-    """Attacker knowledge (a PMF over full fingerprints) and a budget."""
+    """Attacker knowledge (a PMF over full fingerprints) and a budget. What is
+    derived from the knowledge is cached on the ``Pmf``, which attackers share."""
 
     pmf: Pmf
     beta: int
@@ -50,23 +50,6 @@ class AttackerInstance:
     def __post_init__(self) -> None:
         if self.beta < 1:
             raise ConfigError("submission budget beta must be >= 1")
-
-    @cached_property
-    def coded(self) -> tuple[CodedRows, np.ndarray]:
-        """The PMF's value tuples as integer codes, and its probabilities."""
-        entries = self.pmf.entries
-        probabilities = np.fromiter((p for _, p in entries), float, len(entries))
-        return encode_rows([v for v, _ in entries], len(self.pmf.attrs)), probabilities
-
-    @cached_property
-    def product_domains(self) -> list[list[str]] | None:
-        """Each column's sorted values if the PMF is uniform over their whole
-        product (``Pmf`` refuses duplicates, so a count suffices), else None."""
-        entries = self.pmf.entries
-        if any(p != entries[0][1] for _, p in entries):
-            return None
-        domains = [sorted(set(column)) for column in zip(*(v for v, _ in entries))]
-        return domains if math.prod(map(len, domains)) == len(entries) else None
 
 
 @dataclass(frozen=True)
@@ -92,9 +75,9 @@ def uniform_attacker(
 ) -> AttackerInstance:
     """The weakest attacker: uniform over the observed value domains.
 
-    The support is the Cartesian product of each attribute's observed
-    values, held as those domains until ``pmf.entries`` is read; no measure
-    reads it. ``max_support`` bounds that enumeration and any dictionary.
+    The support is the product of each attribute's observed values, the PMF's
+    ``uniform_product``; only a read of ``pmf.entries``, which no measure makes,
+    enumerates it. ``max_support`` bounds that enumeration and any dictionary.
     """
     names, stored = dataset.catalog.names, dataset.stored_codes
     # Codes follow str order, so the codes in use list the values sorted.
@@ -105,9 +88,7 @@ def uniform_attacker(
         raise ConfigError(
             f"uniform attacker support exceeds {max_support} fingerprints"
         )
-    attacker = AttackerInstance(Pmf._uniform(names, domains), beta, knowledge="uniform")
-    vars(attacker)["product_domains"] = domains  # what the cached property derives
-    return attacker
+    return AttackerInstance(Pmf._uniform(names, (domains, 1.0 / size)), beta, "uniform")
 
 
 def attacker_from_file(
@@ -147,8 +128,8 @@ def attacker_from_file(
 def build_dictionary(attacker: AttackerInstance, attrs: Iterable[str]) -> Dictionary:
     """Group the attacker's PMF on ``attrs``; keep the budgeted most probable tuples.
 
-    A PMF uniform over a product of column domains gives every projected tuple
-    one mass, so its dictionary is the projected product's first beta tuples.
+    A PMF with a ``uniform_product`` gives every projected tuple one mass, so
+    its dictionary is the projected product's first beta tuples.
     """
     target = tuple(attrs)
     missing = set(target) - set(attacker.pmf.attrs)
@@ -157,19 +138,16 @@ def build_dictionary(attacker: AttackerInstance, attrs: Iterable[str]) -> Dictio
             f"attribute {sorted(missing)[0]!r} is outside the attacker's knowledge"
         )
     cols = column_indices(attacker.pmf.attrs, target)
-    domains = attacker.product_domains
-    if domains is not None:
+    if (uniform := attacker.pmf.uniform_product) is not None:
+        domains, weight = uniform
         projected = [domains[c] for c in cols]
         size = math.prod(map(len, projected))
         top = tuple(itertools.islice(itertools.product(*projected),
                                      min(attacker.beta, size)))
-        # Each group's m equal weights, added one by one as bincount does. A
-        # PMF file keeps its own p; a product not yet enumerated weighs 1/|product|.
-        total, pmf = math.prod(map(len, domains)), attacker.pmf
-        p = pmf.entries[0][1] if "entries" in vars(pmf) else 1.0 / total
-        mass = np.full(total // size, p).cumsum()[-1].item()
+        # Each group's m equal weights, added one by one as bincount does.
+        mass = np.full(math.prod(map(len, domains)) // size, weight).cumsum()[-1].item()
         return Dictionary(attrs=target, entries=top, probabilities=(mass,) * len(top))
-    coded, probabilities = attacker.coded
+    coded, probabilities = attacker.pmf.coded
     _, first, groups = np.unique(
         coded.group_keys(cols), return_index=True, return_inverse=True
     )
@@ -265,7 +243,7 @@ def non_monotone_reason(attacker: AttackerInstance, dataset: Dataset) -> str | N
     tolerant = [s.name for s in dataset.catalog.attributes if not s.matches_exactly]
     if tolerant:
         return f"{', '.join(tolerant)} match tolerantly"
-    if _knows_population(attacker, dataset) or attacker.product_domains is not None:
+    if _knows_population(attacker, dataset) or attacker.pmf.uniform_product is not None:
         return None
     return (f"the {attacker.knowledge} attacker is neither the dataset's population"
             " nor uniform over a full product")

@@ -1255,12 +1255,12 @@ def test_uniform_attackers_list_their_dictionaries(tmp_path, monkeypatch):
     for command in (["oracle"], ["select", "--k", "2"]):
         assert main([*command, *inputs, "--knowledge", "uniform"]) == EXIT_OK
     assert built and all(a.knowledge == "uniform" for a in built)
-    assert not any("coded" in vars(a) for a in built)
+    assert not any("coded" in vars(a.pmf) for a in built)
     built.clear()
     argv = _catalog_entry(tmp_path, dataset, catalog, kind="text", match_threshold=1)
     assert main([*argv, "--knowledge", "population",
                  "--out", str(tmp_path / "out.json")]) == EXIT_OK
-    assert any("coded" in vars(a) for a in built)
+    assert any("coded" in vars(a.pmf) for a in built)
 
 
 def test_a_budget_past_sys_maxsize_guesses_the_whole_product(tmp_path):

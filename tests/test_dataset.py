@@ -302,6 +302,10 @@ class TestSynthesize:
         config = self.base_config(browsers=40)
         assert synthesize(config, seed=1) != synthesize(config, seed=2)
 
+    def test_a_dataset_equals_no_other_kind_of_object(self, dataset):
+        assert dataset != object()
+        assert dataset != dataset.observations
+
     def test_copy_attribute_has_zero_conditional_entropy(self):
         ds = synthesize(self.base_config(browsers=30), seed=9)
         # Conditional entropy recomputed from scratch on the generated data.
@@ -366,6 +370,10 @@ class TestCatalogFile:
         with pytest.raises(SchemaError) as refused:
             load_catalog(path)
         assert str(refused.value) == f"{path}: entry 0: {field} must be a string"
+
+    def test_membership_is_by_name(self, catalog):
+        assert "Language" in catalog
+        assert "Ghost" not in catalog
 
     def test_spec_of_an_unknown_name(self, catalog):
         assert catalog.spec("Language").name == "Language"

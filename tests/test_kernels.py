@@ -14,6 +14,7 @@ import copy
 import dataclasses
 import importlib
 import itertools
+import pickle
 import random
 import sys
 import tempfile
@@ -197,24 +198,26 @@ def test_product_dictionary_matches_reference(instance, data):
             assert build_dictionary(knows, attrs) == reference.build_dictionary(
                 knows, attrs
             )
-            assert knows.product_domains == (domains if product else None)
-            assert ("coded" in vars(knows)) is not product
+            assert knows.pmf.uniform_product == (
+                (domains, entries[0][1]) if product else None)
+            assert ("coded" in vars(knows.pmf)) is not product
 
 
 @SETTINGS
 @given(instances(kinds=("uniform",)))
-def test_the_uniform_attacker_comes_with_its_product_domains(instance):
-    """``uniform_attacker`` seeds ``product_domains`` with the domains it
-    builds its product from: what the property derives from the PMF."""
+def test_the_uniform_pmf_is_given_the_product_it_would_derive(instance):
+    """``uniform_attacker`` gives its PMF the product it builds, domains and
+    weight: what an eager ``Pmf`` of the same entries derives."""
     _, attacker = instance
-    assert vars(attacker)["product_domains"] == AttackerInstance(
-        attacker.pmf, attacker.beta, "uniform").product_domains
+    given = attacker.pmf.uniform_product
+    assert "entries" not in vars(attacker.pmf)
+    assert given == Pmf(attacker.pmf.attrs, attacker.pmf.entries).uniform_product
 
 
 @SETTINGS
 @given(instances(kinds=("uniform",)))
 def test_the_uniform_pmf_is_the_eager_pmf_of_its_product(instance):
-    """``uniform_attacker`` holds its product as domains, and its PMF is, on
+    """``uniform_attacker``'s PMF is given its product, and it is, on
     first read, the eager ``Pmf`` of the whole product: the same entries with
     every float bit for bit, equal both ways, of one hash, repr and class,
     whichever of these reads the entries first."""
@@ -239,6 +242,24 @@ def test_the_uniform_pmf_is_the_eager_pmf_of_its_product(instance):
     assert fresh() == AttackerInstance(eager, attacker.beta, "uniform")
     assert AttackerInstance(eager, attacker.beta, "uniform") == fresh()
     assert hash(fresh()) == hash(AttackerInstance(eager, attacker.beta, "uniform"))
+
+
+@SETTINGS
+@given(instances(kinds=("uniform",)))
+def test_the_uniform_pmf_stays_unread_through_a_copy(instance):
+    """A copy, a deep copy and a pickle round trip of an unread uniform PMF
+    are unread too, and each equals the eager ``Pmf`` of the product, of one
+    hash. A name it lacks raises the usual ``AttributeError``."""
+    dataset, attacker = instance
+    eager = Pmf(attacker.pmf.attrs, uniform_attacker(dataset, 1).pmf.entries)
+    for clone in (copy.copy, copy.deepcopy, lambda o: pickle.loads(pickle.dumps(o))):
+        pmf = uniform_attacker(dataset, attacker.beta).pmf
+        copied = clone(pmf)
+        assert "entries" not in vars(copied) and "entries" not in vars(pmf)
+        assert copied == eager and hash(copied) == hash(eager)
+    with pytest.raises(AttributeError, match="'missing'"):
+        getattr(attacker.pmf, "missing")
+    assert "entries" not in vars(attacker.pmf)
 
 
 @SETTINGS
@@ -393,7 +414,7 @@ def test_sensitivity_never_rises_where_no_reason_says_it_may(instance):
     assert (reason is None) == (
         all(spec.matches_exactly for spec in dataset.catalog.attributes)
         and (attacker.knowledge == "population"
-             or attacker.product_domains is not None))
+             or attacker.pmf.uniform_product is not None))
     if reason is not None:
         return
     share = {
@@ -1222,14 +1243,14 @@ def test_product_masses_are_running_sums():
     # 1.0 of 6 * (1/6). Value order breaks the ties among equal masses.
     entries = tuple(((a, b), 1 / 6) for b in "zyx" for a in "qp")
     attacker = AttackerInstance(Pmf(("a", "b"), entries), beta=2, knowledge="file")
-    assert attacker.product_domains == [["p", "q"], ["x", "y", "z"]]
+    assert attacker.pmf.uniform_product == ([["p", "q"], ["x", "y", "z"]], 1 / 6)
     assert build_dictionary(attacker, ()).probabilities == (0.9999999999999999,)
     assert build_dictionary(attacker, ("b",)).entries == (("x",), ("y",))
     for attrs in ((), ("b",), ("a", "b"), ("b", "a", "b")):
         assert build_dictionary(attacker, attrs) == reference.build_dictionary(
             attacker, attrs
         )
-    assert "coded" not in vars(attacker)
+    assert "coded" not in vars(attacker.pmf)
 
 
 def test_probability_ties_depend_on_composition():

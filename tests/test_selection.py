@@ -656,6 +656,23 @@ class TestEvaluate:
             evaluate(("Ghost",), dataset_with_pairs, attacker, CostWeights())
 
 
+def test_an_attacker_holds_only_its_knowledge_and_budget():
+    """What the searches and ``evaluate`` derive from an attacker's PMF is
+    cached on the PMF: a uniform, a file and a population attacker keep
+    their three fields and nothing else."""
+    ds = table1_dataset(repeats=2)
+    population = ds.population_pmf
+    attackers = (uniform_attacker(ds, 2),
+                 AttackerInstance(Pmf(population.attrs, population.entries), 2, "file"),
+                 population_attacker(ds, 2))
+    config = SelectionConfig(alpha=0.4, k=2)
+    for attacker in attackers:
+        select_greedy(ds, attacker, config)
+        select_exhaustive(ds, attacker, config)
+        evaluate(("Language", "Screen"), ds, attacker, CostWeights())
+        assert set(vars(attacker)) == {"pmf", "beta", "knowledge"}
+
+
 class TestSelectionConfig:
     def test_alpha_bounds(self):
         with pytest.raises(ConfigError):

@@ -38,7 +38,7 @@ from fpselect.sensitivity import (
 from fpselect.synth import SynthAttribute, SynthConfig, synthesize
 
 import reference
-from conftest import make_dataset, table1_dataset
+from conftest import TABLE1_ATTRS, TABLE1_ROWS, make_dataset, table1_dataset
 
 
 # ---------------------------------------------------------------------------
@@ -153,12 +153,12 @@ class TestBuildDictionary:
         entries = tuple(((v, "k"), p) for v in ("x", "y", "z"))
         for beta in (1, 2, 3, 4):
             attacker = AttackerInstance(Pmf(("a", "b"), entries), beta, "file")
-            assert attacker.product_domains == [["x", "y", "z"], ["k"]]
+            assert attacker.pmf.uniform_product == ([["x", "y", "z"], ["k"]], p)
             for attrs in ((), ("a",), ("b",), ("a", "b")):
                 assert build_dictionary(attacker, attrs) == (
                     reference.build_dictionary(attacker, attrs))
             assert build_dictionary(attacker, ("a",)).probabilities[0] == p
-            assert "coded" not in vars(attacker)
+            assert "coded" not in vars(attacker.pmf)
 
 
 class TestImpersonatedUsers:
@@ -381,7 +381,7 @@ class TestUniformAttacker:
         assert d.entries == (("en",), ("fr",))
 
     def test_a_support_equal_to_max_support_is_accepted(self, dataset):
-        assert uniform_attacker(dataset, beta=1, max_support=24).product_domains
+        assert uniform_attacker(dataset, beta=1, max_support=24).pmf.uniform_product
         with pytest.raises(ConfigError) as refused:
             uniform_attacker(dataset, beta=1, max_support=23)
         assert str(refused.value) == "uniform attacker support exceeds 23 fingerprints"
@@ -504,6 +504,32 @@ class TestReachPath:
                 assert impersonated_share(canon, copy, dataset) == share
         assert len(built) == 2 ** len(names)
         assert all(attacker is copy for attacker in built)
+
+
+    def test_attackers_over_one_pmf_code_it_once(self, monkeypatch):
+        """Two population attackers at different budgets share the dataset's
+        PMF, so their dictionaries on a tolerant set code it once."""
+        specs = tuple(AttributeSpec(a, "text", match_threshold=1) if a == "Language"
+                      else AttributeSpec(a, "category") for a in TABLE1_ATTRS)
+        dataset = make_dataset(specs, [(u, 0, dict(zip(TABLE1_ATTRS, values)))
+                                       for u, values in TABLE1_ROWS.items()])
+        attackers = [population_attacker(dataset, beta) for beta in (1, 3)]
+        coded = []
+        original = importlib.import_module("fpselect.dataset").encode_rows
+
+        def counted(rows, width):
+            coded.append(width)
+            return original(rows, width)
+
+        for name in ("fpselect.dataset", "fpselect.sensitivity"):
+            monkeypatch.setattr(importlib.import_module(name), "encode_rows", counted)
+        canon = dataset.catalog.canonical(("Language", "Screen"))
+        for attacker in attackers:
+            reached = reference.impersonated_users(
+                canon, attacker, dataset.user_mapping, dataset.catalog)
+            assert impersonated_share(canon, attacker, dataset) == (
+                len(reached) / len(dataset.user_mapping))
+        assert coded == [len(TABLE1_ATTRS)]
 
 
 def test_reach_memory_stays_bounded_whatever_the_budget():
