@@ -111,8 +111,6 @@ def _mem_cost(canon: tuple[str, ...], dataset: Dataset) -> float:
 
 
 def _time_cost(canon: tuple[str, ...], dataset: Dataset) -> float:
-    if not canon:
-        return 0.0
     times = dataset.attribute_times
     per_obs = np.zeros(len(dataset))
     for a in canon:
@@ -137,12 +135,13 @@ def _ins_cost(canon: tuple[str, ...], dataset: Dataset) -> float:
 def subset_costs(
     dataset: Dataset, weights: CostWeights
 ) -> dict[tuple[str, ...], CostBreakdown]:
-    """``total_cost`` of every subset, bit for bit, in one depth-first pass in
-    canonical order. Each set extends its prefix by one attribute, so its byte
-    total, change count and synchronous time sum are the prefix's plus one
-    column: ``_time_cost``'s additions in its order. The maximum over the
-    asynchronous columns is exact in any order; as there, the sum is its
-    first argument. The walk carries at most n + 1 per-observation arrays."""
+    """``total_cost`` of every subset, bit for bit, in one depth-first pass
+    over the sorted names, so the keys come in sorted tuple order. Each set
+    extends its prefix by one attribute, so its byte total, change count and
+    synchronous time sum are the prefix's plus one column: ``_time_cost``'s
+    additions in its order. The maximum over the asynchronous columns is
+    exact in any order; as there, the sum is its first argument. The walk
+    carries at most n + 1 per-observation arrays."""
     _ins_cost((), dataset)  # refuses a dataset without a consecutive pair
     rows, pairs = len(dataset), dataset.consecutive_pair_count
     totals, changes = dataset.attribute_byte_totals, dataset.attribute_change_counts

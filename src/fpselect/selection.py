@@ -119,6 +119,7 @@ def greedy_lattice_search(
 ) -> LatticeSearchOutcome:
     """Bounded-width bottom-up search for a cheap set below the threshold.
 
+    ``attributes`` are distinct names, and each one-larger set is sorted.
     ``measure`` maps a canonical attribute tuple to ``(cost, sensitivity)``
     and must be pure; results are cached here, so each distinct set is
     measured once. Expansion, classification, and truncation run in
@@ -194,10 +195,7 @@ def greedy_lattice_search(
 
 
 def _one_larger(base: AttrSet, names: tuple[str, ...]) -> Iterable[AttrSet]:
-    present = set(base)
-    for name in names:
-        if name not in present:
-            yield tuple(n for n in names if n in present or n == name)
+    return (tuple(sorted((*base, name))) for name in names if name not in base)
 
 
 def _has_subset(subset: AttrSet, pool: list[AttrSet]) -> bool:
@@ -371,7 +369,8 @@ def select_exhaustive(
 ) -> SelectionResult:
     """True optimum: adds all 2^n subsets, costed in one depth-first pass, to
     ``evaluator.costs`` (so 2^n is its ``explored_count``) and chooses the
-    first by ``(total_points, set)`` that meets alpha. Unless sensitivity is
+    first by ``total_points`` that meets alpha; a stable sort keeps ties in
+    the walk's order, which is ``set`` order. Unless sensitivity is
     monotone, it measures them in that order and a full set above alpha
     proves nothing. If it is, a set above alpha rules out its subsets:
     largest first, it measures only sets ranked before the best so far and
@@ -382,26 +381,22 @@ def select_exhaustive(
             f"{len(names)} attributes exceed the exhaustive limit of {max_attributes}"
         )
     monotone = non_monotone_reason(attacker, dataset) is None
-    bit = {a: 1 << i for i, a in enumerate(names)}
 
     def search(evaluator: Evaluator) -> Found:
-        costs = evaluator.costs
-        costs.update(subset_costs(dataset, config.weights))
-        ranked = sorted(costs, key=lambda combo: (costs[combo].total_points, combo))
+        walk = subset_costs(dataset, config.weights)
+        evaluator.costs.update(walk)
+        ranked = sorted(walk, key=lambda combo: walk[combo].total_points)
         order = range(len(ranked))
         if monotone:  # largest first; the sort is stable, so rank order within a size
             order = sorted(order, key=lambda r: -len(ranked[r]))
         best, failed = len(ranked), []
         for r in order:
-            if r >= best:
-                continue
-            mask = sum(bit[a] for a in ranked[r])
-            if any(mask & ~f == 0 for f in failed):
+            if r >= best or any(f.issuperset(ranked[r]) for f in failed):
                 continue
             if evaluator.evaluate(ranked[r])[1] <= config.alpha:
                 best = r
             elif monotone:
-                failed.append(mask)
+                failed.append(frozenset(ranked[r]))
         return (ranked[best] if best < len(ranked) else None), ()
 
     return _select("oracle", dataset, attacker, config, search, gate=monotone)

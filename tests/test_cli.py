@@ -1505,6 +1505,44 @@ class TestConsoleEntry:
         assert proc.returncode == EXIT_OK
         assert proc.stdout == report
 
+    def test_reports_do_not_depend_on_the_hash_seed(self, tmp_path):
+        """Each command writes the same bytes under two hash seeds. ``Lang``,
+        a twin of Language, ties the conditional-entropy baseline's first
+        pick, so the order of its candidate pool (a set) would show."""
+        dataset, catalog = write_table1_files(tmp_path, repeats=2)
+        specs = json.loads(catalog.read_text(encoding="utf-8"))
+        catalog.write_text(json.dumps([*specs, {"name": "Lang", "kind": "category"}]),
+                           encoding="utf-8")
+        lines = dataset.read_text(encoding="utf-8").splitlines()
+        rows = [json.loads(line) for line in lines]
+        for row in rows:
+            row["values"]["Lang"] = row["values"]["Language"]
+        dataset.write_text("".join(f"{json.dumps(row)}\n" for row in rows),
+                           encoding="utf-8")
+        alpha = ["--alpha", "0.2"]
+        commands = {
+            "select": ["select", "--k", "2", *alpha],
+            "entropy": ["baseline", "--method", "entropy", *alpha],
+            "cond-entropy": ["baseline", "--method", "cond-entropy", *alpha],
+            "oracle": ["oracle", "--knowledge", "uniform", *alpha],
+            "evaluate": ["evaluate", "--attrs", "Screen,Timezone", *alpha],
+            "calibrate": ["calibrate", "--windows", "2"],
+        }
+        for name, argv in commands.items():
+            reports = []
+            for seed in ("0", "4242"):
+                out = tmp_path / f"{name}-{seed}.json"
+                proc = subprocess.run(
+                    [sys.executable, "-m", "fpselect.cli", *argv,
+                     "--dataset", str(dataset), "--catalog", str(catalog),
+                     "--out", str(out)],
+                    capture_output=True, text=True,
+                    env={**os.environ, "PYTHONHASHSEED": seed},
+                )
+                assert proc.returncode == EXIT_OK, (name, proc.stderr)
+                reports.append(out.read_bytes())
+            assert reports[0] == reports[1], name
+
     @pytest.mark.parametrize("alpha, dataset_line, status", [
         ("0.01", None, EXIT_NO_SOLUTION),
         ("0.2", "{", EXIT_SCHEMA_ERROR),

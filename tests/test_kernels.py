@@ -565,12 +565,14 @@ def _fifteen_attributes():
 
 
 def test_the_lattice_walk_is_total_cost_at_15_attributes():
-    """The walk at the default ``--max-n`` depth: all 32,768 subsets, each
-    equal to ``total_cost`` bit for bit."""
+    """The walk at the default ``--max-n`` depth: all 32,768 subsets, in
+    sorted tuple order (the oracle's tie-break), each equal to
+    ``total_cost`` bit for bit."""
     dataset = _fifteen_attributes()
     weights = CostWeights()
     walk = subset_costs(dataset, weights)
     assert len(walk) == 2**15
+    assert list(walk) == sorted(walk)
     for subset, breakdown in walk.items():
         assert _bits(breakdown) == _bits(total_cost(subset, dataset, weights))
 
